@@ -158,7 +158,11 @@ def _cmd_solve(args) -> int:
     if kind == "generic":
         if given:
             raise UsageError("generic scenarios take --fix name=token, not seed flags")
-        fixed = dict(args.fix or [])
+        fixed: dict[str, int] = {}
+        for name, value in args.fix or []:
+            if name in fixed:
+                raise UsageError(f"--fix {name} given more than once")
+            fixed[name] = value
         sols = solver.solve_generic(fixed, allow_large=args.allow_large)
     else:
         if args.fix:
@@ -274,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--fix", type=_fix_pair, action="append", metavar="NAME=TOK",
                          help="generic scenario fixing; repeatable")
     p_solve.add_argument("--allow-large", action="store_true",
-                         help="permit enumerations beyond 8^6 assignments")
+                         help="permit more than 6 free parameters (8^6 assignments); "
+                              "more than 8^7 solutions is refused regardless")
     _add_format_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 

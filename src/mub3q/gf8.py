@@ -122,7 +122,6 @@ def to_token(x: FieldElement) -> str:
 
 def from_token(s: str) -> FieldElement:
     """Parse a text token back to an element."""
-    try:
-        return _ELEMENT_OF_TOKEN[s]
-    except KeyError:
-        raise ValueError(f"not a GF(8) token: {s!r}") from None
+    if not isinstance(s, str) or s not in _ELEMENT_OF_TOKEN:
+        raise ValueError(f"not a GF(8) token: {s!r}")
+    return _ELEMENT_OF_TOKEN[s]

@@ -1,14 +1,16 @@
-"""Exhaustive solvers for the twelve seed equations.
+"""Exact solvers for the twelve seed equations.
 
 Four fixing schemes are supported, one per number of coordinate axes
 appearing in the striation table (three, two, one, none), plus a generic
-partial-assignment solver.  All of them enumerate the free parameters
-over GF(8) and keep the assignments satisfying the twelve equations;
-with at most five free parameters per scheme (8^5 = 32768 candidates)
-brute force is both fast and self-evidently exhaustive.
+partial-assignment solver.  Each term of the twelve equations is one `a`
+parameter times one `b` parameter, so the equations are bilinear: once
+the free parameters on one side are fixed, the bits of the other side's
+free parameters satisfy 12 GF(2)-linear equations.  The solver sweeps
+the side with fewer free parameters over GF(8) and solves the linear
+system at each sweep point, which lists every solution and no others.
 
-Solutions are returned in a fixed order: free parameters are swept in
-canonical parameter order, each over the element display order, so the
+Solutions are returned in a fixed order: free parameters are sorted in
+canonical parameter order, each by the element display order, so the
 output is lexicographically sorted.  Degenerate assignments (seeds that
 fail well-formedness or whose table fails validation) are returned with
 valid=False rather than dropped.
@@ -17,8 +19,7 @@ valid=False rather than dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import product
 
 from . import gf8, phasespace
 from .phasespace import PARAM_NAMES, TWELVE_EQUATIONS, SeedSet
@@ -36,9 +37,17 @@ _SCHEME_FIXED = {
 
 MAX_FREE_DEFAULT = 6  # 8^6 assignments; anything larger needs allow_large
 
-_MUL = np.array([[gf8.mul(x, y) for y in range(8)] for x in range(8)], dtype=np.uint8)
-_TR = np.array(gf8.TRACE, dtype=np.uint8)
-_ELEMS = np.array(gf8.ELEMENTS, dtype=np.uint8)
+MAX_SOLUTIONS = 8**7  # output ceiling, whatever allow_large says
+
+# Every term of the twelve equations is an `a` parameter times a `b` one,
+# so fixing one side leaves the equations linear in the other.
+assert all(p[0] == "a" and q[0] == "b" for eq in TWELVE_EQUATIONS for side in eq for p, q in side)
+
+# Bit j of _TRACE_FORM[c] is tr(c * 2^j), so tr(c*u) = sum_j u_j * tr(c * 2^j)
+# is the parity of _TRACE_FORM[c] & u.
+_TRACE_FORM = tuple(
+    sum(gf8.TRACE[gf8.mul(c, 1 << j)] << j for j in range(3)) for c in range(8)
+)
 
 
 class InvalidInputError(ValueError):
@@ -46,7 +55,8 @@ class InvalidInputError(ValueError):
 
 
 class CostGuardError(InvalidInputError):
-    """Refused enumeration: too many free parameters without allow_large."""
+    """Refused enumeration: too many free parameters without allow_large,
+    or more than MAX_SOLUTIONS solutions."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,11 @@ class Scenario:
 
     @classmethod
     def from_json(cls, obj) -> "Scenario":
-        if not isinstance(obj, dict) or set(obj) != {"kind", "fixed"}:
+        if (
+            not isinstance(obj, dict)
+            or set(obj) != {"kind", "fixed"}
+            or not isinstance(obj["fixed"], dict)
+        ):
             raise InvalidInputError('a scenario must be {"kind": ..., "fixed": {...}}')
         fixed = {n: gf8.from_token(t) for n, t in obj["fixed"].items()}
         return cls.make(obj["kind"], fixed)
@@ -113,60 +127,106 @@ class Solution:
         }
 
 
-def _eval_equations_mask(env: dict[str, np.ndarray | int]) -> np.ndarray | bool:
-    """Boolean mask of assignments satisfying all twelve equations."""
-    mask = None
+def _check_fixed(fixed: dict[str, int]) -> list[str]:
+    """Validate a partial fixing; returns the free names in canonical order."""
+    for name in fixed:
+        if name not in PARAM_NAMES:
+            raise InvalidInputError(f"unknown parameter name: {name!r}")
+    for v in fixed.values():
+        gf8.check_element(v)
+    return [n for n in PARAM_NAMES if n not in fixed]
+
+
+def _solved_fixings(fixed: dict[str, int], free: list[str]):
+    """Solve the twelve equations as GF(2) systems, one per sweep point.
+
+    The free names of the side (`a` or `b`) with fewer of them are swept
+    over GF(8).  Each sweep point leaves 12 GF(2)-linear equations in the
+    bits of the other side's free names, the unknowns; unknown i owns
+    bits 3i..3i+2 of a solution bitmask.
+
+    Yields (swept values by name, unknown names, particular solution,
+    nullspace basis) for each sweep point whose system is consistent.
+    """
+    free_a = [n for n in free if n[0] == "a"]
+    free_b = [n for n in free if n[0] == "b"]
+    swept, unknown = (free_a, free_b) if len(free_a) <= len(free_b) else (free_b, free_a)
+    shift = {n: 3 * i for i, n in enumerate(unknown)}
+    # tr(lhs) = tr(rhs) is tr(lhs + rhs) = 0: the terms with an unknown
+    # factor must sum to the trace of the fully known ones.  Per equation:
+    # (name of the known factor, bit shift of the unknown) for each term
+    # with an unknown factor, and the fully known terms.
+    plan = []
     for lhs, rhs in TWELVE_EQUATIONS:
-        sides = []
-        for side in (lhs, rhs):
-            acc = None
-            for p, q in side:
-                term = _MUL[env[p], env[q]]
-                acc = term if acc is None else acc ^ term
-            sides.append(_TR[acc])
-        eq = sides[0] == sides[1]
-        mask = eq if mask is None else mask & eq
-    return mask
+        linear, constant = [], []
+        for p, q in lhs + rhs:
+            if p in shift:
+                linear.append((q, shift[p]))
+            elif q in shift:
+                linear.append((p, shift[q]))
+            else:
+                constant.append((p, q))
+        plan.append((linear, constant))
+    env = dict(fixed)
+    for values in product(gf8.ELEMENTS, repeat=len(swept)):
+        env.update(zip(swept, values))
+        rows, rhs = [], []
+        for linear, constant in plan:
+            row = 0
+            for c, s in linear:
+                row ^= _TRACE_FORM[env[c]] << s
+            acc = 0
+            for p, q in constant:
+                acc ^= gf8.mul(env[p], env[q])
+            rows.append(row)
+            rhs.append(gf8.TRACE[acc])
+        particular, basis = phasespace._solve_gf2(rows, rhs, 3 * len(unknown))
+        if particular is not None:
+            yield dict(zip(swept, values)), unknown, particular, basis
+
+
+def count_assignments(fixed: dict[str, int]) -> int:
+    """Number of assignments extending `fixed` that satisfy the twelve
+    equations, counted without listing them (no cost guard applies)."""
+    free = _check_fixed(fixed)
+    return sum(1 << len(basis) for *_, basis in _solved_fixings(fixed, free))
 
 
 def enumerate_assignments(
     fixed: dict[str, int], *, allow_large: bool = False
 ) -> list[dict[str, int]]:
     """All full 12-parameter assignments extending `fixed` that satisfy
-    the twelve equations, in lexicographic enumeration order.
+    the twelve equations, in lexicographic order.
 
     Free parameters run in canonical order, each over the element
     display order.  More than MAX_FREE_DEFAULT free parameters is
-    refused unless allow_large is set.
+    refused unless allow_large is set.  More than MAX_SOLUTIONS
+    solutions is always refused, before any of them is listed.
     """
-    for name in fixed:
-        if name not in PARAM_NAMES:
-            raise InvalidInputError(f"unknown parameter name: {name!r}")
-    for v in fixed.values():
-        gf8.check_element(v)
-    free = [n for n in PARAM_NAMES if n not in fixed]
+    free = _check_fixed(fixed)
     if len(free) > MAX_FREE_DEFAULT and not allow_large:
         raise CostGuardError(
             f"{len(free)} free parameters means 8^{len(free)} assignments; "
             "pass allow_large to enumerate anyway"
         )
-    if not free:
-        ok = bool(_eval_equations_mask(dict(fixed)))
-        return [dict(fixed)] if ok else []
-    n = len(free)
-    idx = np.arange(8**n, dtype=np.int64)
-    env: dict[str, np.ndarray | int] = dict(fixed)
-    for k, name in enumerate(free):
-        env[name] = _ELEMS[(idx // 8 ** (n - 1 - k)) % 8]
-    mask = _eval_equations_mask(env)
-    hits = np.flatnonzero(mask)
-    out = []
-    for h in hits:
-        assignment = dict(fixed)
-        for k, name in enumerate(free):
-            assignment[name] = int(gf8.ELEMENTS[(h // 8 ** (n - 1 - k)) % 8])
-        out.append(assignment)
-    return out
+    systems, total = [], 0
+    for system in _solved_fixings(fixed, free):
+        total += 1 << len(system[3])
+        if total > MAX_SOLUTIONS:
+            raise CostGuardError(
+                f"more than {MAX_SOLUTIONS} (8^7) solutions; fix more parameters"
+            )
+        systems.append(system)
+    solutions = []
+    for solved, unknown, particular, basis in systems:
+        span = [particular]
+        for vec in basis:
+            span += [x ^ vec for x in span]
+        for x in span:
+            solved.update((n, x >> 3 * i & 7) for i, n in enumerate(unknown))
+            solutions.append(tuple(solved[n] for n in free))
+    solutions.sort(key=lambda values: tuple(map(gf8.ORDER_KEY.__getitem__, values)))
+    return [{**fixed, **dict(zip(free, values))} for values in solutions]
 
 
 def solution_is_valid(seed: SeedSet) -> bool:
@@ -200,28 +260,15 @@ def _axes_seed_params(l1: int, l2: int, l3: int) -> dict[str, int]:
 
 
 def solve_three_axes(l1: int, l2: int) -> list[Solution]:
-    """All l3 completing the three-axes seed (both rows on the axes).
-
-    Uses the reduced three-equation system equivalent to the twelve
-    equations on this seed shape:
-        tr(l3)    = tr(l2 + l1*l2)
-        tr(l1*l3) = tr(l2)
-        tr(l2*l3) = tr(l1 + l1*l2)
-    """
+    """All l3 completing the three-axes seed (both rows on the axes)."""
     gf8.check_element(l1)
     gf8.check_element(l2)
     if l1 == 0 or l2 == 0 or l1 == l2:
         raise InvalidInputError("l1 and l2 must be distinct and nonzero")
-    t = gf8.trace
-    l1l2 = gf8.mul(l1, l2)
     out = []
     for l3 in gf8.ELEMENTS:
-        if (
-            t(l3) == t(gf8.add(l2, l1l2))
-            and t(gf8.mul(l1, l3)) == t(l2)
-            and t(gf8.mul(l2, l3)) == t(gf8.add(l1, l1l2))
-        ):
-            seed = SeedSet.from_params(_axes_seed_params(l1, l2, l3))
+        seed = SeedSet.from_params(_axes_seed_params(l1, l2, l3))
+        if phasespace.check_twelve_equations(seed):
             out.append(
                 Solution(seed=seed, free=(("l3", l3),), valid=solution_is_valid(seed))
             )
@@ -265,7 +312,7 @@ def solve_one_axis(
 def solve_no_axis(
     a11: int, b11: int, b12: int, b13: int, a21: int, b22: int, b23: int
 ) -> list[Solution]:
-    """No axis fixed; solves a12, a13, b21, a22, a23 over 8^5 assignments."""
+    """No axis fixed; solves a12, a13, b21, a22, a23."""
     for v in (a11, b11, b12, b13, a21, b22, b23):
         gf8.check_element(v)
     fixed = {

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from mub3q import cli
 
 THREE_AXES = ["solve", "--scenario", "three-axes", "--l1", "m2", "--l2", "m6"]
@@ -113,6 +115,39 @@ def test_solve_scenario_file(tmp_path, capsys):
     assert [s["free"]["l3"] for s in json.loads(out)] == ["m3", "m5"]
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"kind": "generic", "fixed": []},
+        {"kind": "generic", "fixed": "b11=m2"},
+        {"kind": "generic", "fixed": {"b11": ["m2"]}},
+        [],
+    ],
+    ids=["fixed-list", "fixed-string", "token-list", "scenario-list"],
+)
+def test_solve_scenario_file_malformed(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(["solve", "--scenario-file", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_repeated_fix_is_usage_error(capsys):
+    code, out, err = run_cli(
+        ["solve", "--scenario", "generic", "--fix", "b11=m", "--fix", "b11=m2"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "b11" in err and err.count("\n") == 1
+
+
+def test_solve_allow_large_refuses_beyond_ceiling(capsys):
+    # the unfixed space has 43,033,600 solutions, above the 8^7 ceiling
+    code, out, err = run_cli(["solve", "--scenario", "generic", "--allow-large"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "8^7" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -168,6 +203,10 @@ def test_table_seed_file(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(["table", "--seed-file", str(tmp_path / "nope.json")], capsys)
     assert code == 1
+    seed["row1"][0] = [["0"], "m2"]  # a list where a token belongs
+    path.write_text(json.dumps(seed))
+    code, _, err = run_cli(["table", "--seed-file", str(path)], capsys)
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_table_missing_flags_usage_error(capsys):

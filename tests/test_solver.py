@@ -1,13 +1,17 @@
 """Solvers for the twelve equations: reference examples, cross-checks, guards."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mub3q import gf8, reference
-from mub3q.phasespace import SeedSet, build_table, check_all_striation_conditions, check_twelve_equations, validate_table
+from mub3q.phasespace import PARAM_NAMES, TWELVE_EQUATIONS, SeedSet, build_table, check_all_striation_conditions, check_twelve_equations, validate_table
 from mub3q.solver import (
     CostGuardError,
     InvalidInputError,
     Scenario,
+    count_assignments,
     enumerate_assignments,
     solve_generic,
     solve_no_axis,
@@ -32,7 +36,7 @@ def test_three_axes_reference():
     sols = solve_three_axes(tk("m2"), tk("m6"))
     assert [dict(s.free)["l3"] for s in sols] == [tk("m3"), tk("m5")]
     assert all(s.valid for s in sols)
-    # reduced system instantiates to tr(l3)=1, tr(m2*l3)=1, tr(m6*l3)=0
+    # _reduced_three_axes_system instantiates to tr(l3)=1, tr(m2*l3)=1, tr(m6*l3)=0
     assert gf8.trace(gf8.add(tk("m6"), gf8.mul(tk("m2"), tk("m6")))) == 1
     assert gf8.trace(tk("m6")) == 1
     assert gf8.trace(gf8.add(tk("m2"), gf8.mul(tk("m2"), tk("m6")))) == 0
@@ -151,7 +155,7 @@ def test_solutions_sorted_and_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# three-axes reduction vs the full twelve equations
+# three-axes solver vs the hand-reduced system and the twelve equations
 # ---------------------------------------------------------------------------
 
 def _axes_seed(l1, l2, l3) -> SeedSet:
@@ -161,14 +165,27 @@ def _axes_seed(l1, l2, l3) -> SeedSet:
     )
 
 
+def _reduced_three_axes_system(l1, l2, l3) -> bool:
+    """The hand-reduced form of the twelve equations on the three-axes shape."""
+    t = gf8.trace
+    l1l2 = gf8.mul(l1, l2)
+    return (
+        t(l3) == t(gf8.add(l2, l1l2))
+        and t(gf8.mul(l1, l3)) == t(l2)
+        and t(gf8.mul(l2, l3)) == t(gf8.add(l1, l1l2))
+    )
+
+
 def test_three_axes_reduction_equivalent_to_twelve_equations():
     for l1 in NONZERO:
         for l2 in NONZERO:
             if l1 == l2:
                 continue
-            reduced = {dict(s.free)["l3"] for s in solve_three_axes(l1, l2)}
+            solved = [dict(s.free)["l3"] for s in solve_three_axes(l1, l2)]
+            reduced = [l3 for l3 in gf8.ELEMENTS if _reduced_three_axes_system(l1, l2, l3)]
+            assert solved == reduced
             for l3 in gf8.ELEMENTS:
-                assert (l3 in reduced) == check_twelve_equations(_axes_seed(l1, l2, l3))
+                assert (l3 in solved) == check_twelve_equations(_axes_seed(l1, l2, l3))
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +313,71 @@ def test_scenario_validation():
         Scenario.make("two-axes", {"b11": tk("m3"), "b12": tk("m5"), "b13": tk("m2"), "a21": tk("1")})
     with pytest.raises(InvalidInputError):
         Scenario.make("generic", {"nope": 0})
+
+
+# ---------------------------------------------------------------------------
+# bilinear solver vs a numpy brute force over every candidate
+# ---------------------------------------------------------------------------
+
+_MUL = np.array([[gf8.mul(x, y) for y in range(8)] for x in range(8)], dtype=np.uint8)
+_TR = np.array(gf8.TRACE, dtype=np.uint8)
+_ELEMS = np.array(gf8.ELEMENTS, dtype=np.uint8)
+
+
+def _eval_equations_mask(env):
+    """Boolean mask of assignments satisfying all twelve equations."""
+    mask = None
+    for lhs, rhs in TWELVE_EQUATIONS:
+        sides = []
+        for side in (lhs, rhs):
+            acc = None
+            for p, q in side:
+                term = _MUL[env[p], env[q]]
+                acc = term if acc is None else acc ^ term
+            sides.append(_TR[acc])
+        eq = sides[0] == sides[1]
+        mask = eq if mask is None else mask & eq
+    return mask
+
+
+def _brute_force(fixed):
+    """Every 8^free candidate evaluated at once; hits in enumeration order."""
+    free = [n for n in PARAM_NAMES if n not in fixed]
+    n = len(free)
+    idx = np.arange(8**n, dtype=np.int64)
+    env = dict(fixed)
+    for k, name in enumerate(free):
+        env[name] = _ELEMS[(idx // 8 ** (n - 1 - k)) % 8]
+    out = []
+    for h in np.flatnonzero(_eval_equations_mask(env)):
+        assignment = dict(fixed)
+        for k, name in enumerate(free):
+            assignment[name] = int(gf8.ELEMENTS[(h // 8 ** (n - 1 - k)) % 8])
+        out.append(assignment)
+    return out
+
+
+@st.composite
+def _partial_fixings(draw):
+    n_free = draw(st.integers(min_value=1, max_value=5))
+    free = set(draw(st.permutations(PARAM_NAMES))[:n_free])
+    values = st.sampled_from(gf8.ELEMENTS)
+    return {n: draw(values) for n in PARAM_NAMES if n not in free}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partial_fixings())
+def test_enumerate_matches_brute_force(fixed):
+    assert enumerate_assignments(fixed) == _brute_force(fixed)
+
+
+def test_count_matches_enumeration_on_eight_free():
+    fixed = {"a11": tk("m2"), "b11": tk("m5"), "b12": tk("m3"), "b13": tk("1")}
+    assert count_assignments(fixed) == 7680
+    assert len(enumerate_assignments(fixed, allow_large=True)) == 7680
+
+
+def test_solution_ceiling_refuses_empty_fixing():
+    # 43,033,600 solutions: refused even with allow_large, before listing any
+    with pytest.raises(CostGuardError, match="8\\^7"):
+        enumerate_assignments({}, allow_large=True)
