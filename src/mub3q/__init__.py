@@ -33,10 +33,8 @@ from .solver import (
 from .pauli import OperatorClass, PauliOp, class_from_row, commutes_op, point_to_pauli
 from .mub import (
     MubReport,
-    MubSet,
     build_bases,
     eigenbasis,
-    mub_set,
     separability,
     structure,
     unbiasedness,
@@ -49,7 +47,6 @@ __all__ = [
     "ELEMENTS",
     "CurveRelation",
     "MubReport",
-    "MubSet",
     "OperatorClass",
     "PauliOp",
     "Scenario",
@@ -67,7 +64,6 @@ __all__ = [
     "eigenbasis",
     "fit_curve",
     "from_token",
-    "mub_set",
     "point_to_pauli",
     "render_grid",
     "separability",

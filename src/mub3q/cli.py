@@ -19,12 +19,7 @@ from . import gf8, mub, phasespace, reference, solver
 from .phasespace import PARAM_NAMES, SeedSet
 
 SEED_FLAGS = PARAM_NAMES
-_SCENARIO_FLAGS = {
-    "three-axes": ("l1", "l2"),
-    "two-axes": ("b11", "b12", "b13", "a21"),
-    "one-axis": ("b11", "b12", "b13", "a21", "b22", "b23"),
-    "no-axis": ("a11", "b11", "b12", "b13", "a21", "b22", "b23"),
-}
+SOLVE_FLAGS = ("l1", "l2", *SEED_FLAGS)  # the names any scheme fixes
 
 
 class UsageError(Exception):
@@ -90,15 +85,24 @@ def _point_text(p) -> str:
     return f"({gf8.to_token(p[0])},{gf8.to_token(p[1])})"
 
 
+def _read_json(path: str, what: str):
+    """Parse a JSON file.  A file that cannot be opened, or nests too deeply
+    for the parser, is a DomainError; other parse errors stay ValueErrors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, RecursionError) as exc:
+        raise DomainError(f"cannot read {what} file: {exc}") from None
+
+
 def _load_seed(args) -> SeedSet:
     given = {n: getattr(args, n) for n in SEED_FLAGS if getattr(args, n) is not None}
     if args.seed_file is not None:
         if given:
             raise UsageError("give either --seed-file or the 12 seed flags, not both")
         try:
-            with open(args.seed_file, encoding="utf-8") as fh:
-                return SeedSet.from_json(json.load(fh))
-        except (OSError, ValueError) as exc:
+            return SeedSet.from_json(_read_json(args.seed_file, "seed"))
+        except ValueError as exc:
             raise DomainError(f"cannot read seed file: {exc}") from None
     missing = [n for n in SEED_FLAGS if n not in given]
     if missing:
@@ -120,13 +124,9 @@ def _checked_table(seed: SeedSet) -> phasespace.StriationTable:
     return table
 
 
-def _solution_json(sol: solver.Solution) -> dict:
-    return sol.to_json()
-
-
 def _print_solutions(sols: list[solver.Solution], pretty: bool) -> None:
     if not pretty:
-        print(_json_dumps([_solution_json(s) for s in sols]))
+        print(_json_dumps([s.to_json() for s in sols]))
         return
     if not sols:
         print("no solutions")
@@ -138,24 +138,11 @@ def _print_solutions(sols: list[solver.Solution], pretty: bool) -> None:
         print("  row2: " + " ".join(_point_text(p) for p in sol.seed.row2))
 
 
-def _cmd_solve(args) -> int:
-    if args.scenario_file is not None:
-        if args.scenario is not None:
-            raise UsageError("give either --scenario or --scenario-file, not both")
-        try:
-            with open(args.scenario_file, encoding="utf-8") as fh:
-                scenario = solver.Scenario.from_json(json.load(fh))
-        except OSError as exc:
-            raise DomainError(f"cannot read scenario file: {exc}") from None
-        sols = solver.solve_scenario(scenario, allow_large=args.allow_large)
-        _print_solutions(sols, args.pretty)
-        return 0
-    if args.scenario is None:
-        raise UsageError("--scenario (or --scenario-file) is required")
+def _scenario_from_flags(args) -> solver.Scenario:
     kind = args.scenario
-    given = {n: getattr(args, n) for n in ("l1", "l2", *SEED_FLAGS)
-             if getattr(args, n) is not None}
-    if kind == "generic":
+    given = {n: getattr(args, n) for n in SOLVE_FLAGS if getattr(args, n) is not None}
+    names = solver.SCHEMES[kind].fixes
+    if names is None:
         if given:
             raise UsageError("generic scenarios take --fix name=token, not seed flags")
         fixed: dict[str, int] = {}
@@ -163,20 +150,28 @@ def _cmd_solve(args) -> int:
             if name in fixed:
                 raise UsageError(f"--fix {name} given more than once")
             fixed[name] = value
-        sols = solver.solve_generic(fixed, allow_large=args.allow_large)
+        return solver.Scenario.make(kind, fixed)
+    if args.fix:
+        raise UsageError(f"--fix is only for --scenario generic, not {kind}")
+    missing = [n for n in names if n not in given]
+    extra = [n for n in given if n not in names]
+    if missing:
+        raise UsageError(f"scenario {kind} needs {', '.join('--' + n for n in missing)}")
+    if extra:
+        raise UsageError(f"scenario {kind} does not take {', '.join('--' + n for n in extra)}")
+    return solver.Scenario.make(kind, {n: given[n] for n in names})
+
+
+def _cmd_solve(args) -> int:
+    if args.scenario_file is not None:
+        if args.scenario is not None:
+            raise UsageError("give either --scenario or --scenario-file, not both")
+        scenario = solver.Scenario.from_json(_read_json(args.scenario_file, "scenario"))
+    elif args.scenario is None:
+        raise UsageError("--scenario (or --scenario-file) is required")
     else:
-        if args.fix:
-            raise UsageError(f"--fix is only for --scenario generic, not {kind}")
-        names = _SCENARIO_FLAGS[kind]
-        missing = [n for n in names if n not in given]
-        extra = [n for n in given if n not in names]
-        if missing:
-            raise UsageError(f"scenario {kind} needs {', '.join('--' + n for n in missing)}")
-        if extra:
-            raise UsageError(f"scenario {kind} does not take {', '.join('--' + n for n in extra)}")
-        scenario = solver.Scenario.make(kind, {n: given[n] for n in names})
-        sols = solver.solve_scenario(scenario)
-    _print_solutions(sols, args.pretty)
+        scenario = _scenario_from_flags(args)
+    _print_solutions(solver.solve_scenario(scenario, allow_large=args.allow_large), args.pretty)
     return 0
 
 
@@ -216,10 +211,9 @@ def _cmd_verify(args) -> int:
     else:
         payload = report.to_json()
         if args.amplitudes:
-            bases = mub.build_bases(table)
             payload["bases"] = [
                 [[[float(a.real), float(a.imag)] for a in state] for state in b.states]
-                for b in bases
+                for b in report.bases
             ]
         print(_json_dumps(payload))
     return 0 if report.passed else 1
@@ -231,7 +225,7 @@ def _cmd_classify(args) -> int:
     report = mub.verify_mub_set(table)
     if not report.passed:
         raise DomainError("MUB verification failed; not classifying")
-    labels = [b.label for b in mub.build_bases(table)]
+    labels = [b.label for b in report.bases]
     if args.pretty:
         for i, label in enumerate(labels, start=1):
             print(f"basis {i}: {label}")
@@ -266,14 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a fixing scheme for seed points")
     p_solve.add_argument(
         "--scenario",
-        choices=("three-axes", "two-axes", "one-axis", "no-axis", "generic"),
+        choices=solver.SCENARIO_KINDS,
         default=None,
     )
     p_solve.add_argument("--scenario-file", metavar="PATH", default=None,
                          help='JSON {"kind": ..., "fixed": {...}}')
-    for name in ("l1", "l2"):
-        p_solve.add_argument(f"--{name}", type=_field, metavar="TOK", default=None)
-    for name in SEED_FLAGS:
+    for name in SOLVE_FLAGS:
         p_solve.add_argument(f"--{name}", type=_field, metavar="TOK", default=None)
     p_solve.add_argument("--fix", type=_fix_pair, action="append", metavar="NAME=TOK",
                          help="generic scenario fixing; repeatable")
@@ -325,9 +317,6 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (solver.InvalidInputError, phasespace.InvalidSeedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

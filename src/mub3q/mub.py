@@ -11,7 +11,7 @@ are exactly 1 or 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
@@ -126,24 +126,14 @@ def build_bases(table: StriationTable) -> list[Basis]:
 
 
 @dataclass(frozen=True)
-class MubSet:
-    """The nine bases of a table with their separability structure."""
-
-    bases: tuple[Basis, ...]
-    structure: tuple[int, int, int]
-
-
-def mub_set(table: StriationTable) -> MubSet:
-    bases = tuple(build_bases(table))
-    return MubSet(bases=bases, structure=_structure_of(list(bases)))
-
-
-@dataclass(frozen=True)
 class MubReport:
+    """The checks of a table's nine bases; `bases` is not part of the JSON."""
+
     orthonormality_defect: float
     unbiasedness_defect: float
     structure: tuple[int, int, int]
     passed: bool
+    bases: tuple[Basis, ...] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -164,7 +154,8 @@ def _structure_of(bases: list[Basis]) -> tuple[int, int, int]:
 
 
 def verify_mub_set(table: StriationTable) -> MubReport:
-    """Build all nine bases and measure orthonormality and unbiasedness."""
+    """Build all nine bases and measure orthonormality and unbiasedness.
+    The report keeps the bases, so callers need not build them again."""
     bases = build_bases(table)
     ortho = max(orthonormality_defect(b) for b in bases)
     unbias = max(unbiasedness(b1, b2) for b1, b2 in combinations(bases, 2))
@@ -173,6 +164,7 @@ def verify_mub_set(table: StriationTable) -> MubReport:
         unbiasedness_defect=unbias,
         structure=_structure_of(bases),
         passed=ortho < ORTHO_TOL and unbias < UNBIAS_TOL,
+        bases=tuple(bases),
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import xor
 
 from . import gf8
 from .gf8 import mul, trace
@@ -72,12 +73,17 @@ def commutes(p: Point, q: Point) -> bool:
     return trace(mul(p[0], q[1])) == trace(mul(q[0], p[1]))
 
 
-def _independent(points: tuple[Point, Point, Point]) -> bool:
-    """GF(2)-independence of three points of GF(8)^2 (span has 8 elements)."""
-    span = {(0, 0)}
-    for p in points:
-        span |= {add_points(p, q) for q in span}
-    return len(span) == 8
+def greedy_basis(vectors, add=xor, zero=0) -> list:
+    """The vectors, in order, that are not in the GF(2) span of those before
+    them: a basis of their span.  Field elements by default; pass
+    add_points and ORIGIN for points."""
+    span = {zero}
+    basis = []
+    for v in vectors:
+        if v not in span:
+            basis.append(v)
+            span |= {add(v, s) for s in span}
+    return basis
 
 
 def point_to_json(p: Point) -> list[str]:
@@ -125,10 +131,9 @@ class SeedSet:
         errors = []
         if any(p == ORIGIN for p in self.points()):
             errors.append("seed contains the origin")
-        if not _independent(self.row1):
-            errors.append("row 1 seed points are GF(2)-dependent")
-        if not _independent(self.row2):
-            errors.append("row 2 seed points are GF(2)-dependent")
+        for r, row in ((1, self.row1), (2, self.row2)):
+            if len(greedy_basis(row, add_points, ORIGIN)) < 3:
+                errors.append(f"row {r} seed points are GF(2)-dependent")
         return errors
 
     def is_well_formed(self) -> bool:
@@ -403,19 +408,6 @@ def _solve_linearized(inputs: list[int], targets: list[int]):
     return [_coeffs_from_bits(u) for u in sorted(sols, key=key)]
 
 
-def _independent_triple(row: tuple[Point, ...]) -> list[Point]:
-    """First three GF(2)-independent points of the row, in row order."""
-    span = {ORIGIN}
-    gens: list[Point] = []
-    for p in row:
-        if p not in span:
-            gens.append(p)
-            span |= {add_points(p, q) for q in span}
-            if len(gens) == 3:
-                return gens
-    raise InvalidTableError("row does not span a 3-dimensional subspace")
-
-
 def fit_curve(row: tuple[Point, ...]) -> CurveRelation:
     """Fit a nonzero linearized relation to a subgroup row.
 
@@ -425,7 +417,9 @@ def fit_curve(row: tuple[Point, ...]) -> CurveRelation:
     (then mcoef) under the element display order.
     """
     pts = (ORIGIN,) + tuple(row)
-    gens = _independent_triple(row)
+    gens = greedy_basis(row, add_points, ORIGIN)[:3]
+    if len(gens) < 3:
+        raise InvalidTableError("row does not span a 3-dimensional subspace")
     relation = None
     if len({p[0] for p in pts}) == 8:
         fits = _solve_linearized([p[0] for p in gens], [p[1] for p in gens])

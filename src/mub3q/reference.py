@@ -261,14 +261,20 @@ class CheckResult:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
+def _scenario(example: Example) -> solver.Scenario:
+    return solver.Scenario.make(example.kind, {n: tk(t) for n, t in example.fixed.items()})
+
+
 def solve_example(example: Example) -> list[solver.Solution]:
-    fixed = {n: tk(t) for n, t in example.fixed.items()}
-    return solver.solve_scenario(solver.Scenario.make(example.kind, fixed))
+    return solver.solve_scenario(_scenario(example))
 
 
 def example_tables(example: Example) -> list[StriationTable]:
     """One table per expected solution, in solution order."""
-    sols = solve_example(example)
+    return _tables(example, solve_example(example))
+
+
+def _tables(example: Example, sols: list[solver.Solution]) -> list[StriationTable]:
     want = [tuple(tk(t) for t in f) for f in example.expected_free]
     tables = []
     for w in want:
@@ -277,27 +283,6 @@ def example_tables(example: Example) -> list[StriationTable]:
             raise LookupError(f"expected solution {w} not produced for {example.name}")
         tables.append(phasespace.build_table(match[0].seed))
     return tables
-
-
-def _atom_value(atom, env):
-    return env[atom] if isinstance(atom, str) else atom
-
-
-def system_holds(system, env) -> bool:
-    """Evaluate a displayed trace system on a scalar assignment."""
-    for lhs, rhs in system:
-        left = gf8.trace(_xor_terms(lhs, env))
-        right = rhs if isinstance(rhs, int) else gf8.trace(_xor_terms(rhs, env))
-        if left != right:
-            return False
-    return True
-
-
-def _xor_terms(side, env) -> int:
-    acc = 0
-    for u, v in side:
-        acc ^= gf8.mul(_atom_value(u, env), _atom_value(v, env))
-    return acc
 
 
 def system_solutions(system, unknowns: tuple[str, ...]) -> list[tuple[int, ...]]:
@@ -331,22 +316,12 @@ def system_solutions(system, unknowns: tuple[str, ...]) -> list[tuple[int, ...]]
     return out
 
 
-def _free_names(example: Example) -> tuple[str, ...]:
-    return {
-        "three-axes": ("l3",),
-        "two-axes": ("a22", "a23"),
-        "one-axis": ("b21", "a22", "a23"),
-        "no-axis": ("a12", "a13", "b21", "a22", "a23"),
-    }[example.kind]
-
-
 def _fmt_tuples(tuples) -> str:
     return ", ".join("(" + ",".join(gf8.to_token(v) for v in t) + ")" for t in tuples)
 
 
-def check_solutions(example: Example) -> CheckResult:
+def check_solutions(example: Example, sols: list[solver.Solution]) -> CheckResult:
     """Solver output matches the published solution values."""
-    sols = solve_example(example)
     got = [s.free_values() for s in sols]
     want = [tuple(tk(t) for t in f) for f in example.expected_free]
     if example.kind == "no-axis":
@@ -360,11 +335,9 @@ def check_solutions(example: Example) -> CheckResult:
     return CheckResult(f"{example.name} solution set", ok, detail)
 
 
-def check_system(example: Example) -> CheckResult:
+def check_system(example: Example, sols: list[solver.Solution]) -> CheckResult:
     """The displayed trace system has the same solutions as the solver."""
-    unknowns = _free_names(example)
-    fromsys = system_solutions(example.system, unknowns)
-    sols = solve_example(example)
+    fromsys = system_solutions(example.system, _scenario(example).free_names())
     fromsolver = [s.free_values() for s in sols]
     ok = fromsys == fromsolver
     return CheckResult(
@@ -374,9 +347,8 @@ def check_system(example: Example) -> CheckResult:
     )
 
 
-def check_grid(example: Example) -> CheckResult:
+def check_grid(example: Example, table: StriationTable) -> CheckResult:
     """The rendered grid matches the published one cell-for-cell."""
-    table = example_tables(example)[0]
     rendered = phasespace.render_grid(table)
     cells = [line.split("| ", 1)[1] for line in rendered.strip().splitlines()[1:]]
     ok = tuple(cells) == example.grid
@@ -388,9 +360,8 @@ def check_grid(example: Example) -> CheckResult:
     )
 
 
-def check_curves(example: Example) -> list[CheckResult]:
+def check_curves(example: Example, table: StriationTable) -> list[CheckResult]:
     """Each published curve equation, evaluated on its generated row."""
-    table = example_tables(example)[0]
     out = []
     for k, (rel, row_idx) in enumerate(zip(example.curves, example.curve_rows), start=1):
         row = table.rows[row_idx - 1]
@@ -409,11 +380,10 @@ def check_curves(example: Example) -> list[CheckResult]:
     return out
 
 
-def check_mub(example: Example) -> list[CheckResult]:
+def check_mub(example: Example, reports: list[mub.MubReport]) -> list[CheckResult]:
     out = []
-    for tokens, table in zip(example.expected_free, example_tables(example)):
+    for tokens, report in zip(example.expected_free, reports):
         label = f"{example.name} ({','.join(tokens)})"
-        report = mub.verify_mub_set(table)
         out.append(
             CheckResult(
                 f"{label} MUB verification",
@@ -425,12 +395,11 @@ def check_mub(example: Example) -> list[CheckResult]:
     return out
 
 
-def check_structures(example: Example) -> list[CheckResult]:
+def check_structures(example: Example, reports: list[mub.MubReport]) -> list[CheckResult]:
     out = []
-    tables = example_tables(example)
-    for tokens, table, want in zip(example.expected_free, tables, example.structures):
+    for tokens, report, want in zip(example.expected_free, reports, example.structures):
         label = f"{example.name} ({','.join(tokens)})"
-        got = mub.structure(table)
+        got = report.structure
         ok = got in KNOWN_STRUCTURES and sum(got) == 9 and got == want
         out.append(
             CheckResult(
@@ -443,14 +412,22 @@ def check_structures(example: Example) -> list[CheckResult]:
 
 
 def run_all_checks() -> list[CheckResult]:
-    """Re-derive every bundled reference result and compare."""
+    """Re-derive every bundled reference result and compare.
+
+    Each example is solved once, each of its tables built once and each
+    table's MUB set verified once.  The MUB and structure checks of every
+    example come after all the solution, system, grid and curve checks.
+    """
     out: list[CheckResult] = []
+    mub_checks: list[CheckResult] = []
     for example in EXAMPLES:
-        out.append(check_solutions(example))
-        out.append(check_system(example))
-        out.append(check_grid(example))
-        out.extend(check_curves(example))
-    for example in EXAMPLES:
-        out.extend(check_mub(example))
-        out.extend(check_structures(example))
-    return out
+        sols = solve_example(example)
+        tables = _tables(example, sols)
+        out.append(check_solutions(example, sols))
+        out.append(check_system(example, sols))
+        out.append(check_grid(example, tables[0]))
+        out.extend(check_curves(example, tables[0]))
+        reports = [mub.verify_mub_set(table) for table in tables]
+        mub_checks.extend(check_mub(example, reports))
+        mub_checks.extend(check_structures(example, reports))
+    return out + mub_checks

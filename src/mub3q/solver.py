@@ -20,20 +20,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import gf8, phasespace
 from .phasespace import PARAM_NAMES, TWELVE_EQUATIONS, SeedSet
 
-SCENARIO_KINDS = ("three-axes", "two-axes", "one-axis", "no-axis", "generic")
 
-# Fixed-parameter names required by each scheme (the rest of the seed is
-# implied zero for the axis schemes; see the seed builders below).
-_SCHEME_FIXED = {
-    "three-axes": ("l1", "l2"),
-    "two-axes": ("b11", "b12", "b13", "a21"),
-    "one-axis": ("b11", "b12", "b13", "a21", "b22", "b23"),
-    "no-axis": ("a11", "b11", "b12", "b13", "a21", "b22", "b23"),
+class Scheme(NamedTuple):
+    """A fixing scheme: the names the caller fixes (None: any subset of
+    PARAM_NAMES) and the parameters the scheme sets to zero."""
+
+    fixes: tuple[str, ...] | None
+    zeros: tuple[str, ...]
+
+
+# Row 1 on the vertical axis (a = 0), row 2 on the horizontal one (b = 0).
+_ROW1_ON_AXIS = ("a11", "a12", "a13")
+_ROW2_ON_AXIS = ("b21", "b22", "b23")
+
+# The three-axes scheme fixes l1, l2 of the axes seed (_axes_seed_params)
+# and solves for l3; every other scheme solves the twelve equations for the
+# parameters it neither fixes nor sets to zero.
+SCHEMES: dict[str, Scheme] = {
+    "three-axes": Scheme(("l1", "l2"), _ROW1_ON_AXIS + _ROW2_ON_AXIS),
+    "two-axes": Scheme(("b11", "b12", "b13", "a21"), _ROW1_ON_AXIS + _ROW2_ON_AXIS),
+    "one-axis": Scheme(("b11", "b12", "b13", "a21", "b22", "b23"), _ROW1_ON_AXIS),
+    "no-axis": Scheme(("a11", "b11", "b12", "b13", "a21", "b22", "b23"), ()),
+    "generic": Scheme(None, ()),
 }
+
+SCENARIO_KINDS = tuple(SCHEMES)
 
 MAX_FREE_DEFAULT = 6  # 8^6 assignments; anything larger needs allow_large
 
@@ -68,14 +84,14 @@ class Scenario:
 
     @classmethod
     def make(cls, kind: str, fixed: dict[str, int]) -> "Scenario":
-        if kind not in SCENARIO_KINDS:
+        if kind not in SCHEMES:
             raise InvalidInputError(f"unknown scenario kind: {kind!r}")
-        names = _SCHEME_FIXED.get(kind)
+        names = SCHEMES[kind].fixes
         if names is not None and set(fixed) != set(names):
             raise InvalidInputError(
                 f"scenario {kind!r} fixes exactly {', '.join(names)}"
             )
-        if kind == "generic":
+        if names is None:
             for name in fixed:
                 if name not in PARAM_NAMES:
                     raise InvalidInputError(f"unknown parameter name: {name!r}")
@@ -86,9 +102,21 @@ class Scenario:
             if l1 == 0 or l2 == 0 or l1 == l2:
                 raise InvalidInputError("l1 and l2 must be distinct and nonzero")
         elif kind in ("two-axes", "one-axis"):
-            _require_basis(fixed["b11"], fixed["b12"], fixed["b13"])
+            if len(phasespace.greedy_basis((fixed["b11"], fixed["b12"], fixed["b13"]))) < 3:
+                raise InvalidInputError("b11, b12, b13 must be GF(2)-independent (a basis)")
         order = names if names is not None else PARAM_NAMES
         return cls(kind=kind, fixed=tuple((n, fixed[n]) for n in order if n in fixed))
+
+    def pinned(self) -> dict[str, int]:
+        """The fixed values plus the zeros the scheme implies."""
+        return {**dict(self.fixed), **dict.fromkeys(SCHEMES[self.kind].zeros, 0)}
+
+    def free_names(self) -> tuple[str, ...]:
+        """The names solved for, in PARAM_NAMES order (l3 for three-axes)."""
+        if self.kind == "three-axes":
+            return ("l3",)
+        pinned = self.pinned()
+        return tuple(n for n in PARAM_NAMES if n not in pinned)
 
     def to_json(self) -> dict:
         return {
@@ -125,16 +153,6 @@ class Solution:
             "seed": self.seed.to_json(),
             "valid": self.valid,
         }
-
-
-def _check_fixed(fixed: dict[str, int]) -> list[str]:
-    """Validate a partial fixing; returns the free names in canonical order."""
-    for name in fixed:
-        if name not in PARAM_NAMES:
-            raise InvalidInputError(f"unknown parameter name: {name!r}")
-    for v in fixed.values():
-        gf8.check_element(v)
-    return [n for n in PARAM_NAMES if n not in fixed]
 
 
 def _solved_fixings(fixed: dict[str, int], free: list[str]):
@@ -188,7 +206,7 @@ def _solved_fixings(fixed: dict[str, int], free: list[str]):
 def count_assignments(fixed: dict[str, int]) -> int:
     """Number of assignments extending `fixed` that satisfy the twelve
     equations, counted without listing them (no cost guard applies)."""
-    free = _check_fixed(fixed)
+    free = Scenario.make("generic", fixed).free_names()
     return sum(1 << len(basis) for *_, basis in _solved_fixings(fixed, free))
 
 
@@ -203,7 +221,7 @@ def enumerate_assignments(
     refused unless allow_large is set.  More than MAX_SOLUTIONS
     solutions is always refused, before any of them is listed.
     """
-    free = _check_fixed(fixed)
+    free = Scenario.make("generic", fixed).free_names()
     if len(free) > MAX_FREE_DEFAULT and not allow_large:
         raise CostGuardError(
             f"{len(free)} free parameters means 8^{len(free)} assignments; "
@@ -246,96 +264,58 @@ def _package(assignments, free_names) -> list[Solution]:
     return out
 
 
+def _axes_seed_params(l1: int, l2: int, l3: int) -> dict[str, int]:
+    params = dict.fromkeys(SCHEMES["three-axes"].zeros, 0)
+    for c, l in enumerate((l1, l2, l3), start=1):
+        params[f"b1{c}"] = params[f"a2{c}"] = l
+    return params
+
+
+def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Solution]:
+    """Solve a scenario.  Three-axes tries each l3 of the axes seed; every
+    other kind enumerates the twelve equations over its free names."""
+    if scenario.kind == "three-axes":
+        fixed = dict(scenario.fixed)
+        out = []
+        for l3 in gf8.ELEMENTS:
+            seed = SeedSet.from_params(_axes_seed_params(fixed["l1"], fixed["l2"], l3))
+            if phasespace.check_twelve_equations(seed):
+                out.append(
+                    Solution(seed=seed, free=(("l3", l3),), valid=solution_is_valid(seed))
+                )
+        return out
+    assignments = enumerate_assignments(scenario.pinned(), allow_large=allow_large)
+    return _package(assignments, scenario.free_names())
+
+
 def solve_generic(fixed: dict[str, int], *, allow_large: bool = False) -> list[Solution]:
     """Solve with an arbitrary partial fixing of the 12 parameters."""
-    free_names = [n for n in PARAM_NAMES if n not in fixed]
-    return _package(enumerate_assignments(fixed, allow_large=allow_large), free_names)
-
-
-def _axes_seed_params(l1: int, l2: int, l3: int) -> dict[str, int]:
-    return {
-        "a11": 0, "b11": l1, "a12": 0, "b12": l2, "a13": 0, "b13": l3,
-        "a21": l1, "b21": 0, "a22": l2, "b22": 0, "a23": l3, "b23": 0,
-    }
+    return solve_scenario(Scenario.make("generic", fixed), allow_large=allow_large)
 
 
 def solve_three_axes(l1: int, l2: int) -> list[Solution]:
     """All l3 completing the three-axes seed (both rows on the axes)."""
-    gf8.check_element(l1)
-    gf8.check_element(l2)
-    if l1 == 0 or l2 == 0 or l1 == l2:
-        raise InvalidInputError("l1 and l2 must be distinct and nonzero")
-    out = []
-    for l3 in gf8.ELEMENTS:
-        seed = SeedSet.from_params(_axes_seed_params(l1, l2, l3))
-        if phasespace.check_twelve_equations(seed):
-            out.append(
-                Solution(seed=seed, free=(("l3", l3),), valid=solution_is_valid(seed))
-            )
-    return out
-
-
-def _require_basis(b11: int, b12: int, b13: int) -> None:
-    span = {0}
-    for b in (b11, b12, b13):
-        gf8.check_element(b)
-        span |= {b ^ s for s in span}
-    if len(span) != 8:
-        raise InvalidInputError("b11, b12, b13 must be GF(2)-independent (a basis)")
+    return solve_scenario(Scenario.make("three-axes", {"l1": l1, "l2": l2}))
 
 
 def solve_two_axes(b11: int, b12: int, b13: int, a21: int) -> list[Solution]:
     """Row 1 on the vertical axis, row 2 on the horizontal one; solves a22, a23."""
-    _require_basis(b11, b12, b13)
-    gf8.check_element(a21)
-    fixed = {
-        "a11": 0, "b11": b11, "a12": 0, "b12": b12, "a13": 0, "b13": b13,
-        "a21": a21, "b21": 0, "b22": 0, "b23": 0,
-    }
-    return _package(enumerate_assignments(fixed), ["a22", "a23"])
+    fixed = {"b11": b11, "b12": b12, "b13": b13, "a21": a21}
+    return solve_scenario(Scenario.make("two-axes", fixed))
 
 
 def solve_one_axis(
     b11: int, b12: int, b13: int, a21: int, b22: int, b23: int
 ) -> list[Solution]:
     """Row 1 on the vertical axis; solves b21, a22, a23."""
-    _require_basis(b11, b12, b13)
-    for v in (a21, b22, b23):
-        gf8.check_element(v)
-    fixed = {
-        "a11": 0, "b11": b11, "a12": 0, "b12": b12, "a13": 0, "b13": b13,
-        "a21": a21, "b22": b22, "b23": b23,
-    }
-    return _package(enumerate_assignments(fixed), ["b21", "a22", "a23"])
+    fixed = {"b11": b11, "b12": b12, "b13": b13, "a21": a21, "b22": b22, "b23": b23}
+    return solve_scenario(Scenario.make("one-axis", fixed))
 
 
 def solve_no_axis(
     a11: int, b11: int, b12: int, b13: int, a21: int, b22: int, b23: int
 ) -> list[Solution]:
     """No axis fixed; solves a12, a13, b21, a22, a23."""
-    for v in (a11, b11, b12, b13, a21, b22, b23):
-        gf8.check_element(v)
-    fixed = {
-        "a11": a11, "b11": b11, "b12": b12, "b13": b13,
-        "a21": a21, "b22": b22, "b23": b23,
-    }
-    return _package(enumerate_assignments(fixed), ["a12", "a13", "b21", "a22", "a23"])
-
-
-def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Solution]:
-    fixed = dict(scenario.fixed)
-    if scenario.kind == "three-axes":
-        return solve_three_axes(fixed["l1"], fixed["l2"])
-    if scenario.kind == "two-axes":
-        return solve_two_axes(fixed["b11"], fixed["b12"], fixed["b13"], fixed["a21"])
-    if scenario.kind == "one-axis":
-        return solve_one_axis(
-            fixed["b11"], fixed["b12"], fixed["b13"],
-            fixed["a21"], fixed["b22"], fixed["b23"],
-        )
-    if scenario.kind == "no-axis":
-        return solve_no_axis(
-            fixed["a11"], fixed["b11"], fixed["b12"], fixed["b13"],
-            fixed["a21"], fixed["b22"], fixed["b23"],
-        )
-    return solve_generic(fixed, allow_large=allow_large)
+    fixed = {"a11": a11, "b11": b11, "b12": b12, "b13": b13,
+             "a21": a21, "b22": b22, "b23": b23}
+    return solve_scenario(Scenario.make("no-axis", fixed))

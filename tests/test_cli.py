@@ -1,8 +1,10 @@
 """CLI surface: output formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,25 @@ def test_solve_scenario_file_malformed(tmp_path, capsys, scenario):
     code, out, err = run_cli(["solve", "--scenario-file", str(path)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _deeply_nested(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    return str(path)
+
+
+def test_solve_scenario_file_too_deeply_nested(tmp_path, capsys):
+    code, out, err = run_cli(["solve", "--scenario-file", _deeply_nested(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read scenario file: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["table", "verify", "classify"])
+def test_seed_file_too_deeply_nested(tmp_path, capsys, command):
+    code, out, err = run_cli([command, "--seed-file", _deeply_nested(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read seed file: ") and err.count("\n") == 1
 
 
 def test_solve_repeated_fix_is_usage_error(capsys):
@@ -315,9 +336,12 @@ def test_json_and_pretty_mutually_exclusive(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "mub3q", *THREE_AXES],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)[0]["free"] == {"l3": "m3"}

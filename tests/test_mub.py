@@ -171,8 +171,9 @@ def test_structure_tuples(example_tables):
 
 
 def test_mub_set_bundle(example_tables):
+    # the report bundles the nine bases it checked with their structure
     table = example_tables[("three-axes", ("m3",))]
-    bundle = mub.mub_set(table)
+    bundle = verify_mub_set(table)
     assert len(bundle.bases) == 9
     assert bundle.structure == (3, 0, 6)
     assert [b.label for b in bundle.bases] == [b.label for b in build_bases(table)]
