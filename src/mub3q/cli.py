@@ -19,7 +19,7 @@ from . import gf8, mub, phasespace, reference, solver
 from .phasespace import PARAM_NAMES, SeedSet
 
 SEED_FLAGS = PARAM_NAMES
-SOLVE_FLAGS = ("l1", "l2", *SEED_FLAGS)  # the names any scheme fixes
+SOLVE_FLAGS = ("l1", "l2", *SEED_FLAGS)  # value flags of solve: l1, l2 and the seed
 
 
 class UsageError(Exception):

@@ -20,7 +20,7 @@ import random
 from pathlib import Path
 
 from mub3q import cli, gf8, reference, solver
-from mub3q.phasespace import PARAM_NAMES
+from mub3q.phasespace import PARAM_NAMES, greedy_basis
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 RNG_SEED = 20131
@@ -51,13 +51,6 @@ def _seed_flags(params: dict[str, int]) -> list[str]:
     return flags
 
 
-def _independent(triple) -> bool:
-    span = {0}
-    for b in triple:
-        span |= {b ^ s for s in span}
-    return len(span) == 8
-
-
 def _count(fixed: dict[str, str]) -> int:
     return solver.count_assignments({n: gf8.from_token(t) for n, t in fixed.items()})
 
@@ -81,27 +74,19 @@ def _seeded_schemes(rng: random.Random, count: int) -> list[list[str]]:
     two-axes and one-axis fixings have at least one solution, except the
     last three, which draw a GF(2)-dependent b triple that the axis schemes
     refuse."""
-    kinds = ("two-axes", "one-axis", "no-axis")
-    zeros = {"two-axes": ("a11", "a12", "a13", "b21", "b22", "b23"),
-             "one-axis": ("a11", "a12", "a13")}
     out = []
     for i in range(count):
-        kind = kinds[i % 3]
-        if kind == "no-axis":
-            names = ("a11", "b11", "b12", "b13", "a21", "b22", "b23")
-            out.append(_scheme_argv(kind, {n: rng.choice(TOKENS) for n in names}))
-            continue
-        admissible = i < count - 3
-        rest = ("a21",) if kind == "two-axes" else ("a21", "b22", "b23")
+        kind = ("two-axes", "one-axis", "no-axis")[i % 3]
+        scheme = solver.SCHEMES[kind]
         while True:
-            triple = [rng.choice(TOKENS) for _ in range(3)]
-            fixed = dict(zip(("b11", "b12", "b13"), triple))
-            fixed.update({n: rng.choice(TOKENS) for n in rest})
-            if not admissible:
-                if not _independent([gf8.from_token(t) for t in triple]):
+            fixed = {n: rng.choice(TOKENS) for n in scheme.fixes}
+            if kind == "no-axis":
+                break
+            basis = greedy_basis([gf8.from_token(fixed[n]) for n in ("b11", "b12", "b13")])
+            if i >= count - 3:
+                if len(basis) < 3:
                     break
-            elif _independent([gf8.from_token(t) for t in triple]) \
-                    and _count(dict(fixed, **dict.fromkeys(zeros[kind], "0"))):
+            elif len(basis) == 3 and _count(dict(fixed, **dict.fromkeys(scheme.zeros, "0"))):
                 break
         out.append(_scheme_argv(kind, fixed))
     return out
