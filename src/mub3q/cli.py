@@ -49,6 +49,9 @@ def _json_dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def _field(s: str) -> int:
     try:
         return gf8.from_token(s)
@@ -126,7 +129,16 @@ def _checked_table(seed: SeedSet) -> phasespace.StriationTable:
 
 def _print_solutions(sols: list[solver.Solution], pretty: bool) -> None:
     if not pretty:
-        print(_json_dumps([s.to_json() for s in sols]))
+        # Solution payloads hold no floats, so the standard encoder gives
+        # _json_dumps' bytes; writing one solution at a time keeps only
+        # one payload's text alive.
+        write = sys.stdout.write
+        write("[")
+        for i, sol in enumerate(sols):
+            if i:
+                write(",")
+            write(_COMPACT.encode(sol.to_json()))
+        write("]\n")
         return
     if not sols:
         print("no solutions")

@@ -50,7 +50,8 @@ ELEMENTS: tuple[int, ...] = (0,) + EXP
 ORDER_KEY: tuple[int, ...] = tuple(ELEMENTS.index(x) for x in range(8))
 
 TOKENS: tuple[str, ...] = ("0", "1", "m", "m2", "m3", "m4", "m5", "m6")
-_TOKEN_OF: tuple[str, ...] = tuple(TOKENS[ORDER_KEY[x]] for x in range(8))
+# TOKEN_OF[x] is the token of element x; unchecked, unlike to_token.
+TOKEN_OF: tuple[str, ...] = tuple(TOKENS[ORDER_KEY[x]] for x in range(8))
 _ELEMENT_OF_TOKEN: dict[str, int] = {t: ELEMENTS[i] for i, t in enumerate(TOKENS)}
 
 
@@ -117,7 +118,7 @@ def order_key(x: FieldElement) -> int:
 
 def to_token(x: FieldElement) -> str:
     """Text token of an element: "0", "1", "m", "m2", ..., "m6"."""
-    return _TOKEN_OF[check_element(x)]
+    return TOKEN_OF[check_element(x)]
 
 
 def from_token(s: str) -> FieldElement:

@@ -211,16 +211,22 @@ def build_table(seed: SeedSet, *, check_seed: bool = True) -> StriationTable:
         errors = seed.well_formedness_errors()
         if errors:
             raise InvalidSeedError("; ".join(errors))
-    rows: list[tuple[Point, ...]] = []
-    for base in (seed.row1, seed.row2):
+    return StriationTable(rows=tuple(map(tuple, extend_seed(seed.row1, seed.row2, add_points))))
+
+
+def extend_seed(row1, row2, add) -> list[list]:
+    """The recursion of build_table over any point representation: the 9
+    rows grown from two seed triples, with `add` the point sum."""
+    rows = []
+    for base in (row1, row2):
         pts = list(base)
         for c in range(3, 7):
-            pts.append(add_points(pts[c - 2], pts[c - 3]))
-        rows.append(tuple(pts))
+            pts.append(add(pts[c - 2], pts[c - 3]))
+        rows.append(pts)
     row1, row2 = rows
     for shift in range(7):  # rows 3..9
-        rows.append(tuple(add_points(row2[c], row1[(c + shift) % 7]) for c in range(7)))
-    return StriationTable(rows=tuple(rows))
+        rows.append(list(map(add, row2, row1[shift:] + row1[:shift])))
+    return rows
 
 
 def check_all_striation_conditions(table: StriationTable) -> bool:

@@ -14,12 +14,23 @@ canonical parameter order, each by the element display order, so the
 output is lexicographically sorted.  Degenerate assignments (seeds that
 fail well-formedness or whose table fails validation) are returned with
 valid=False rather than dropped.
+
+Validity is decided exactly on the 63 points of the table built by
+recursion: they must be distinct and nonzero, and in each row the three
+pairs of its first three points must commute.  Every row is the 7
+nonzero GF(2) combinations of its first three points, so distinct nonzero
+points make each row plus the origin a 3-dimensional subspace and the 9
+rows a partition of the 63 nonzero points; the symplectic form is
+bilinear, so the generators commuting makes the whole row commute.  The
+rule therefore equals well-formedness plus phasespace.validate_table,
+which stays the general check for tables given as input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import xor
 from typing import NamedTuple
 
 from . import gf8, phasespace
@@ -65,6 +76,12 @@ _TRACE_FORM = tuple(
     sum(gf8.TRACE[gf8.mul(c, 1 << j)] << j for j in range(3)) for c in range(8)
 )
 
+# A point (a, b) packs into x = a << 3 | b.  Points x and y commute iff
+# _DUAL[x] & y has even parity: tr(a*b') + tr(a'*b) is the parity of
+# (_TRACE_FORM[b] << 3 | _TRACE_FORM[a]) & (a' << 3 | b').
+_DUAL = tuple(_TRACE_FORM[x & 7] << 3 | _TRACE_FORM[x >> 3] for x in range(64))
+_ODD = tuple(bin(x).count("1") & 1 for x in range(64))
+
 
 class InvalidInputError(ValueError):
     """A solver precondition was violated (bad fixing, dependent triple...)."""
@@ -84,7 +101,7 @@ class Scenario:
 
     @classmethod
     def make(cls, kind: str, fixed: dict[str, int]) -> "Scenario":
-        if kind not in SCHEMES:
+        if not isinstance(kind, str) or kind not in SCHEMES:
             raise InvalidInputError(f"unknown scenario kind: {kind!r}")
         names = SCHEMES[kind].fixes
         if names is not None and set(fixed) != set(names):
@@ -148,9 +165,15 @@ class Solution:
         return tuple(v for _, v in self.free)
 
     def to_json(self) -> dict:
+        # The solver built every value from GF(8), so the token table is
+        # read without gf8.to_token's element check.
+        tok = gf8.TOKEN_OF
         return {
-            "free": {n: gf8.to_token(v) for n, v in self.free},
-            "seed": self.seed.to_json(),
+            "free": {n: tok[v] for n, v in self.free},
+            "seed": {
+                "row1": [[tok[a], tok[b]] for a, b in self.seed.row1],
+                "row2": [[tok[a], tok[b]] for a, b in self.seed.row2],
+            },
             "valid": self.valid,
         }
 
@@ -248,18 +271,35 @@ def enumerate_assignments(
 
 
 def solution_is_valid(seed: SeedSet) -> bool:
-    """Well-formed seed whose table passes every validation flag."""
-    if not seed.is_well_formed():
-        return False
-    table = phasespace.build_table(seed, check_seed=False)
-    return phasespace.validate_table(table).valid
+    """Well-formed seed whose table passes every validation flag, decided
+    by the exact rule of the module docstring: the 63 table points are
+    distinct and nonzero, and each row's first three points commute."""
+    rows = phasespace.extend_seed(
+        [a << 3 | b for a, b in seed.row1], [a << 3 | b for a, b in seed.row2], xor
+    )
+    seen = 1  # the origin
+    for row in rows:
+        x, y, z = row[:3]
+        if _ODD[_DUAL[x] & y] or _ODD[_DUAL[x] & z] or _ODD[_DUAL[y] & z]:
+            return False
+        for p in row:
+            bit = 1 << p
+            if seen & bit:
+                return False
+            seen |= bit
+    return True
 
 
 def _package(assignments, free_names) -> list[Solution]:
+    """Solutions of checked assignments: the seed is built directly, since
+    enumerate_assignments yields only GF(8) values for all 12 names."""
     out = []
-    for assignment in assignments:
-        seed = SeedSet.from_params(assignment)
-        free = tuple((n, assignment[n]) for n in free_names)
+    for p in assignments:
+        seed = SeedSet(
+            row1=((p["a11"], p["b11"]), (p["a12"], p["b12"]), (p["a13"], p["b13"])),
+            row2=((p["a21"], p["b21"]), (p["a22"], p["b22"]), (p["a23"], p["b23"])),
+        )
+        free = tuple((n, p[n]) for n in free_names)
         out.append(Solution(seed=seed, free=free, valid=solution_is_valid(seed)))
     return out
 

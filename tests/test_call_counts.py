@@ -1,19 +1,20 @@
-"""Each result is computed once: solves and basis builds counted per command."""
+"""Each result is computed once: solves, basis builds and validity checks
+counted per command."""
 
+import json
 from collections import Counter
 
 import pytest
 
-from mub3q import cli, mub, reference
+from mub3q import cli, mub, phasespace, reference, solver
 
 from test_cli import SEED_M3
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Count calls of reference.solve_example and mub.eigenbasis."""
+def _counted(monkeypatch, targets) -> Counter:
+    """Count calls made through each (module, name) binding."""
     counts = Counter()
-    for module, name in ((reference, "solve_example"), (mub, "eigenbasis")):
+    for module, name in targets:
         fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -22,6 +23,12 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls of reference.solve_example and mub.eigenbasis."""
+    return _counted(monkeypatch, ((reference, "solve_example"), (mub, "eigenbasis")))
 
 
 def test_run_all_checks_solves_and_builds_once(calls):
@@ -37,3 +44,14 @@ def test_seed_commands_build_nine_bases(calls, argv, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert calls == {"eigenbasis": 9}
+
+
+def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypatch, capsys):
+    counts = _counted(monkeypatch, ((solver, "solution_is_valid"), (phasespace, "validate_table")))
+    fixing = ["a11=0", "a13=1", "b13=m", "a21=0", "a22=m5", "b22=m3"]
+    argv = ["solve", "--scenario", "generic"] + [f for pair in fixing for f in ("--fix", pair)]
+    assert cli.main(argv) == 0
+    sols = json.loads(capsys.readouterr().out)
+    assert len(sols) == 368 and sum(s["valid"] for s in sols) == 16
+    # validate_table is never called: the exact rule runs once per solution
+    assert counts == {"solution_is_valid": 368}

@@ -124,8 +124,10 @@ def test_solve_scenario_file(tmp_path, capsys):
         {"kind": "generic", "fixed": "b11=m2"},
         {"kind": "generic", "fixed": {"b11": ["m2"]}},
         [],
+        {"kind": [], "fixed": {}},
+        {"kind": {}, "fixed": {}},
     ],
-    ids=["fixed-list", "fixed-string", "token-list", "scenario-list"],
+    ids=["fixed-list", "fixed-string", "token-list", "scenario-list", "kind-list", "kind-object"],
 )
 def test_solve_scenario_file_malformed(tmp_path, capsys, scenario):
     path = tmp_path / "scenario.json"

@@ -19,6 +19,7 @@ from mub3q.solver import (
     solve_scenario,
     solve_three_axes,
     solve_two_axes,
+    solution_is_valid,
 )
 
 from conftest import tk
@@ -381,3 +382,94 @@ def test_solution_ceiling_refuses_empty_fixing():
     # 43,033,600 solutions: refused even with allow_large, before listing any
     with pytest.raises(CostGuardError, match="8\\^7"):
         enumerate_assignments({}, allow_large=True)
+
+
+# ---------------------------------------------------------------------------
+# exact validity rule vs well-formedness plus validate_table
+# ---------------------------------------------------------------------------
+
+def _validity_oracle(seed: SeedSet) -> bool:
+    return seed.is_well_formed() and validate_table(build_table(seed, check_seed=False)).valid
+
+
+_points = st.tuples(st.sampled_from(gf8.ELEMENTS), st.sampled_from(gf8.ELEMENTS))
+_triples = st.tuples(_points, _points, _points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_triples, _triples)
+def test_validity_rule_matches_oracle_on_random_seeds(row1, row2):
+    seed = SeedSet(row1=row1, row2=row2)
+    assert solution_is_valid(seed) == _validity_oracle(seed)
+
+
+@st.composite
+def _generic_fixings(draw):
+    fixed = draw(st.permutations(PARAM_NAMES))[:7]
+    return {n: draw(st.sampled_from(gf8.ELEMENTS)) for n in fixed}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_generic_fixings())
+def test_validity_rule_matches_oracle_on_solutions(fixed):
+    for assignment in enumerate_assignments(fixed):
+        seed = SeedSet.from_params(assignment)
+        assert solution_is_valid(seed) == _validity_oracle(seed)
+
+
+def test_validity_rule_matches_oracle_on_mixed_solution_set():
+    fixed = {"a11": tk("m2"), "b11": tk("m5"), "b12": tk("m3"), "b13": tk("1"), "a21": tk("m3")}
+    verdicts = [
+        (solution_is_valid(seed), _validity_oracle(seed))
+        for seed in map(SeedSet.from_params, enumerate_assignments(fixed, allow_large=True))
+    ]
+    assert all(fast == slow for fast, slow in verdicts)
+    assert 0 < sum(fast for fast, _ in verdicts) < len(verdicts) == 848
+
+
+_M3_ROW1 = ((0, tk("m2")), (0, tk("m6")), (0, tk("m3")))
+_M3_ROW2 = ((tk("m2"), 0), (tk("m6"), 0), (tk("m3"), 0))
+
+
+@pytest.mark.parametrize(
+    "row1, row2, error",
+    [
+        (_M3_ROW1, ((0, 0),) + _M3_ROW2[1:], "seed contains the origin"),
+        (_M3_ROW1[:2] + ((0, tk("m2") ^ tk("m6")),), _M3_ROW2, "row 1 seed points are GF(2)-dependent"),
+    ],
+    ids=["origin", "dependent-row1"],
+)
+def test_validity_rule_rejects_ill_formed_seeds(row1, row2, error):
+    seed = SeedSet(row1=row1, row2=row2)
+    assert error in seed.well_formedness_errors()
+    assert not solution_is_valid(seed)
+
+
+def test_validity_rule_rejects_point_shared_by_two_rows():
+    seed = SeedSet(row1=_M3_ROW1, row2=((0, tk("m2")),) + _M3_ROW2[1:])
+    assert seed.is_well_formed()
+    assert not validate_table(build_table(seed)).rows_disjoint
+    assert not solution_is_valid(seed)
+
+
+@pytest.mark.parametrize(
+    "row1, row2",
+    [
+        (((7, 6), (6, 6), (7, 2)), ((5, 1), (0, 2), (7, 3))),
+        # of the three pairs of each row's first three points, only the
+        # first and second fail to commute, in some row
+        (((5, 4), (3, 2), (5, 3)), ((0, 4), (6, 3), (1, 4))),
+        # ... only the first and third
+        (((2, 7), (6, 3), (3, 3)), ((6, 7), (6, 6), (3, 4))),
+        # ... only the second and third
+        (((6, 2), (3, 0), (4, 5)), ((7, 7), (3, 6), (0, 3))),
+    ],
+    ids=["several-pairs", "first-second", "first-third", "second-third"],
+)
+def test_validity_rule_rejects_non_commuting_partition(row1, row2):
+    seed = SeedSet(row1=row1, row2=row2)
+    assert seed.is_well_formed()
+    report = validate_table(build_table(seed))
+    # rows are disjoint subgroups covering the 63 points, but do not commute
+    assert report.first_failure() == "rows-commute"
+    assert not solution_is_valid(seed)
