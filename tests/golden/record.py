@@ -29,6 +29,18 @@ MAX_GENERIC_SOLUTIONS = 40  # keeps each seeded generic entry small
 TOKENS = gf8.TOKENS
 NONZERO = TOKENS[1:]
 
+# Symplectic images of the three-axes seed (found by a seeded search):
+# the reference tables all have structure (3,0,6) or (2,3,4), these two
+# have (1,6,2) and (0,9,0).
+ONE_TRISEPARABLE_SEED = {
+    "a11": "m4", "b11": "m6", "a12": "m5", "b12": "0", "a13": "m", "b13": "m3",
+    "a21": "m2", "b21": "0", "a22": "m5", "b22": "1", "a23": "0", "b23": "m6",
+}
+NO_TRISEPARABLE_SEED = {
+    "a11": "m2", "b11": "m2", "a12": "1", "b12": "1", "a13": "m4", "b13": "m",
+    "a21": "m3", "b21": "m3", "a22": "m5", "b22": "m", "a23": "m6", "b23": "m5",
+}
+
 
 def _scheme_argv(kind: str, fixed: dict[str, str]) -> list[str]:
     argv = ["solve", "--scenario", kind]
@@ -137,6 +149,11 @@ def corpus_argvs() -> list[list[str]]:
         ["classify", *_seed_flags(bad_seed)],
         ["table", *_seed_flags(bad_seed)],
     ]
+    # the two structures no reference table has, in both output formats
+    for tokens in (ONE_TRISEPARABLE_SEED, NO_TRISEPARABLE_SEED):
+        flags = _seed_flags({n: gf8.from_token(t) for n, t in tokens.items()})
+        for command in ("classify", "verify"):
+            argvs += [[command, *flags], [command, *flags, "--pretty"]]
     argvs += [["reproduce-paper"], ["reproduce-paper", "--json"]]
 
     # error paths
