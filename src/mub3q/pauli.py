@@ -9,27 +9,26 @@ convention every phase-0 operator is Hermitian and squares to identity.
 The phase-space map sends a point (a, b) to the operator whose X and Z
 bit patterns are the self-dual-basis coordinates of a and b; under it,
 operator commutation is exactly the trace condition on points.
+
+numpy is imported by `PauliOp.matrix` only; the symplectic algebra
+needs none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import gf8
 from .phasespace import Point
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_OF_LETTER = {v: k for k, v in _LETTERS.items()}
 _PHASE_TOKENS = ("", "+i", "-", "-i")
-
-_SINGLE_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_POWERS_OF_I = (1, 1j, -1, -1j)
 
 
 class AnticommutingRowError(ValueError):
@@ -65,10 +64,21 @@ class PauliOp:
         )
 
     def matrix(self) -> np.ndarray:
-        """The 8x8 complex matrix (exact phase included)."""
-        out = np.array([[1j**(self.phase % 4)]], dtype=complex)
-        for ch in self.letters():
-            out = np.kron(out, _SINGLE_MATRICES[ch])
+        """The 8x8 complex matrix (exact phase included).
+
+        It is a signed permutation: with qubit 1 the most significant bit
+        of a basis index, column c has its one nonzero entry in row c ^ x,
+        equal to i^(phase + #Y) * (-1)^popcount(c & z), where #Y counts
+        the qubits with both bits set.  This equals the Kronecker product
+        of the single-qubit matrices."""
+        import numpy as np
+
+        x = self.x[0] << 2 | self.x[1] << 1 | self.x[2]
+        z = self.z[0] << 2 | self.z[1] << 1 | self.z[2]
+        base = self.phase + sum(xi & zi for xi, zi in zip(self.x, self.z))
+        out = np.zeros((8, 8), dtype=complex)
+        for c in range(8):
+            out[c ^ x, c] = _POWERS_OF_I[(base + 2 * (c & z).bit_count()) % 4]
         return out
 
     def is_identity(self) -> bool:

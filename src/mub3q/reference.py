@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf8, mub, phasespace, solver
 from .gf8 import from_token as tk
 from .phasespace import ORIGIN, CurveRelation, StriationTable
@@ -287,6 +285,8 @@ def _tables(example: Example, sols: list[solver.Solution]) -> list[StriationTabl
 
 def system_solutions(system, unknowns: tuple[str, ...]) -> list[tuple[int, ...]]:
     """Brute-force the displayed system over its unknowns (vectorized)."""
+    import numpy as np
+
     n = len(unknowns)
     idx = np.arange(8**n, dtype=np.int64)
     elems = np.array(gf8.ELEMENTS, dtype=np.uint8)

@@ -38,12 +38,18 @@ def test_run_all_checks_solves_and_builds_once(calls):
     assert calls == {"solve_example": 4, "eigenbasis": 54}
 
 
-@pytest.mark.parametrize("argv", [["classify", *SEED_M3], ["verify", *SEED_M3, "--amplitudes"]],
-                         ids=["classify", "verify-amplitudes"])
-def test_seed_commands_build_nine_bases(calls, argv, capsys):
-    assert cli.main(argv) == 0
+def test_classify_builds_no_basis(calls, capsys):
+    # the labels come from the exact rule on the operator classes
+    assert cli.main(["classify", *SEED_M3]) == 0
     capsys.readouterr()
-    assert calls == {"eigenbasis": 9}
+    assert calls == {}
+
+
+def test_verify_builds_nine_bases_without_purities(monkeypatch, capsys):
+    counts = _counted(monkeypatch, ((mub, "eigenbasis"), (mub, "_single_qubit_purities")))
+    assert cli.main(["verify", *SEED_M3, "--amplitudes"]) == 0
+    capsys.readouterr()
+    assert counts == {"eigenbasis": 9}
 
 
 def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """CLI surface: output formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mub3q import cli
+from mub3q import cli, gf8, solver
+from mub3q.phasespace import PARAM_NAMES
 
 THREE_AXES = ["solve", "--scenario", "three-axes", "--l1", "m2", "--l2", "m6"]
 SEED_M3 = [
@@ -337,13 +342,97 @@ def test_json_and_pretty_mutually_exclusive(capsys):
     assert code == 2
 
 
+def _child_env() -> dict:
+    """Environment whose PYTHONPATH lets a child import the package under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point_subprocess():
     # the child imports the same package as this test, installed or not
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "mub3q", *THREE_AXES],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=_child_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)[0]["free"] == {"l3": "m3"}
+
+
+def test_exact_commands_run_without_numpy(capsys):
+    # numpy is imported only by the numeric checks: with numpy made
+    # unimportable, these commands give the same output as here
+    argvs = [THREE_AXES, ["table", *SEED_M3, "--render", "--curves"], ["classify", *SEED_M3]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from mub3q import cli\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        out.append([cli.main(argv), buf.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                            capture_output=True, text=True, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [list(run_cli(argv, capsys)[:2]) for argv in argvs]
+
+
+# Arbitrary JSON, plus well-typed and valid seeds and scenarios, as files.
+_TOKENS = st.sampled_from(gf8.TOKENS)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | _TOKENS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(["row1", "row2", "kind", "fixed"]),
+                      kids, max_size=4),
+    max_leaves=12,
+)
+_POINT = st.lists(_TOKENS, min_size=2, max_size=2)
+_SEED = st.one_of(
+    st.fixed_dictionaries({"row1": st.lists(_POINT, min_size=3, max_size=3),
+                           "row2": st.lists(_POINT, min_size=3, max_size=3)}),
+    st.fixed_dictionaries({"row1": st.lists(_POINT | _JSON, min_size=2, max_size=4),
+                           "row2": st.lists(_POINT | _JSON, min_size=2, max_size=4) | _JSON}),
+    # valid seeds of structures (3,0,6) and (0,9,0)
+    st.sampled_from([
+        {"row1": [["0", "m2"], ["0", "m6"], ["0", "m3"]],
+         "row2": [["m2", "0"], ["m6", "0"], ["m3", "0"]]},
+        {"row1": [["m2", "m2"], ["1", "1"], ["m4", "m"]],
+         "row2": [["m3", "m3"], ["m5", "m"], ["m6", "m5"]]},
+    ]),
+    _JSON,
+)
+_NAMES = st.sampled_from(("l1", "l2", *PARAM_NAMES))
+_SCENARIO = st.one_of(
+    # each kind with the names it fixes (generic: seven of the twelve)
+    st.sampled_from(solver.SCENARIO_KINDS).flatmap(lambda kind: st.fixed_dictionaries({
+        "kind": st.just(kind),
+        "fixed": st.fixed_dictionaries(
+            dict.fromkeys(solver.SCHEMES[kind].fixes or PARAM_NAMES[:7], _TOKENS)),
+    })),
+    st.fixed_dictionaries({"kind": st.sampled_from(solver.SCENARIO_KINDS) | _JSON,
+                           "fixed": st.dictionaries(_NAMES | st.text(max_size=3),
+                                                    _TOKENS | _JSON, max_size=12) | _JSON}),
+    _JSON,
+)
+_FILE_CASES = st.one_of(
+    st.tuples(st.sampled_from(["table", "verify", "classify"]), _SEED),
+    st.tuples(st.just("solve"), _SCENARIO),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_FILE_CASES, pretty=st.booleans(), raw=st.none() | st.text(max_size=20))
+def test_file_inputs_end_in_one_line_or_success(tmp_path_factory, case, pretty, raw):
+    command, content = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(content) if raw is None else raw, encoding="utf-8")
+    flag = "--scenario-file" if command == "solve" else "--seed-file"
+    argv = [command, flag, str(path)] + (["--pretty"] if pretty else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception escaping main fails the test
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert (code == 0) == (err.getvalue() == "")

@@ -2,8 +2,12 @@
 
 from itertools import combinations
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mub3q import mub, reference
 from mub3q.mub import (
@@ -13,14 +17,26 @@ from mub3q.mub import (
     SeparabilityError,
     Basis,
     build_bases,
+    class_label,
     eigenbasis,
     separability,
     structure,
+    structure_of,
     unbiasedness,
     verify_mub_set,
 )
-from mub3q.pauli import PauliOp, class_from_generators, class_from_row
-from mub3q.phasespace import StriationTable
+from mub3q.pauli import (
+    OperatorClass,
+    PauliOp,
+    class_from_generators,
+    class_from_row,
+    commutes_op,
+    pauli_to_point,
+    point_to_pauli,
+)
+from mub3q.phasespace import SeedSet, StriationTable, build_table
+
+from conftest import seed_from_tokens
 
 def _class(*labels):
     return class_from_generators(*(PauliOp.from_label(s) for s in labels))
@@ -185,3 +201,85 @@ def test_report_json_shape(example_tables):
     assert list(obj) == ["orthonormality_defect", "unbiasedness_defect", "structure", "pass"]
     assert obj["pass"] is True
     assert isinstance(obj["structure"], list) and len(obj["structure"]) == 3
+
+
+def test_class_label_rejects_two_pure_qubits():
+    # no class of 7 commuting operators has this shape; the rule still refuses it
+    ops = tuple(PauliOp.from_label(s) for s in ("ZII", "IZI", "ZZI"))
+    with pytest.raises(SeparabilityError):
+        class_label(OperatorClass(ops=ops))
+
+
+# The matrices of the single-qubit Paulis, for the Kronecker-product oracle.
+_SINGLE = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _kron_matrix(op: PauliOp) -> np.ndarray:
+    out = np.array([[1j ** op.phase]], dtype=complex)
+    for ch in op.letters():
+        out = np.kron(out, _SINGLE[ch])
+    return out
+
+
+def test_matrix_equals_kronecker_product():
+    for bits in product((0, 1), repeat=6):
+        for phase in range(4):
+            op = PauliOp(x=bits[:3], z=bits[3:], phase=phase)
+            assert np.array_equal(op.matrix(), _kron_matrix(op)), op.label()
+
+
+def _numeric_labels(table: StriationTable) -> list[str]:
+    return [separability(eigenbasis(class_from_row(row))) for row in table.rows]
+
+
+def _check_exact_against_numeric(table: StriationTable) -> tuple[int, int, int]:
+    numeric = _numeric_labels(table)
+    assert [class_label(class_from_row(row)) for row in table.rows] == numeric
+    assert verify_mub_set(table).passed
+    assert structure(table) == structure_of(numeric)
+    return structure(table)
+
+
+def test_exact_labels_match_purities_on_examples(example_tables):
+    for table in example_tables.values():
+        _check_exact_against_numeric(table)
+
+
+def _transvect(p, vs):
+    """Image of point p under the transvections u -> u + <u, v> v, in order."""
+    op = point_to_pauli(p)
+    for v in vs:
+        if not commutes_op(op, v):
+            op = op * v
+    return pauli_to_point(op)
+
+
+_NONZERO_PAULIS = st.integers(1, 63).map(
+    lambda n: PauliOp(x=((n >> 5) & 1, (n >> 4) & 1, (n >> 3) & 1),
+                      z=((n >> 2) & 1, (n >> 1) & 1, n & 1))
+)
+@settings(max_examples=60, deadline=None)
+@given(vs=st.lists(_NONZERO_PAULIS, min_size=1, max_size=24))
+def test_exact_labels_match_purities_on_symplectic_images(three_axes_m3_table, vs):
+    # transvections generate Sp(6, 2): they keep commutation and the
+    # partition, but not the separability structure
+    rows = three_axes_m3_table.rows
+    seed = SeedSet(*(tuple(_transvect(p, vs) for p in row[:3]) for row in rows[:2]))
+    _check_exact_against_numeric(build_table(seed))
+
+
+# Symplectic images of the three-axes seed with the two structures that no
+# reference table has (the seeds of the golden corpus).
+@pytest.mark.parametrize("row1, row2, want", [
+    ((("m4", "m6"), ("m5", "0"), ("m", "m3")), (("m2", "0"), ("m5", "1"), ("0", "m6")),
+     (1, 6, 2)),
+    ((("m2", "m2"), ("1", "1"), ("m4", "m")), (("m3", "m3"), ("m5", "m"), ("m6", "m5")),
+     (0, 9, 0)),
+], ids=["1-6-2", "0-9-0"])
+def test_exact_labels_match_purities_on_rare_structures(row1, row2, want):
+    assert _check_exact_against_numeric(build_table(seed_from_tokens(row1, row2))) == want
