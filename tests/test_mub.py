@@ -1,8 +1,6 @@
 """Eigenbases, unbiasedness, separability labels, structure tuples."""
 
-from itertools import combinations
-
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from mub3q.mub import (
     separability,
     structure,
     structure_of,
+    table_labels,
     unbiasedness,
     verify_mub_set,
 )
@@ -233,16 +232,14 @@ def test_matrix_equals_kronecker_product():
             assert np.array_equal(op.matrix(), _kron_matrix(op)), op.label()
 
 
-def _numeric_labels(table: StriationTable) -> list[str]:
-    return [separability(eigenbasis(class_from_row(row))) for row in table.rows]
-
-
 def _check_exact_against_numeric(table: StriationTable) -> tuple[int, int, int]:
-    numeric = _numeric_labels(table)
-    assert [class_label(class_from_row(row)) for row in table.rows] == numeric
+    """Exact labels and structure against purities computed from the states."""
+    numeric = [separability(eigenbasis(class_from_row(row))) for row in table.rows]
+    assert table_labels(table) == numeric
     assert verify_mub_set(table).passed
-    assert structure(table) == structure_of(numeric)
-    return structure(table)
+    got = structure(table)
+    assert got == structure_of(numeric)
+    return got
 
 
 def test_exact_labels_match_purities_on_examples(example_tables):
@@ -263,6 +260,8 @@ _NONZERO_PAULIS = st.integers(1, 63).map(
     lambda n: PauliOp(x=((n >> 5) & 1, (n >> 4) & 1, (n >> 3) & 1),
                       z=((n >> 2) & 1, (n >> 1) & 1, n & 1))
 )
+
+
 @settings(max_examples=60, deadline=None)
 @given(vs=st.lists(_NONZERO_PAULIS, min_size=1, max_size=24))
 def test_exact_labels_match_purities_on_symplectic_images(three_axes_m3_table, vs):
