@@ -7,6 +7,7 @@ deterministic: fixed key order, floats at 12 significant digits.
 
 Exit codes: 0 success, 1 domain failure (invalid input, failed
 verification, failed checks), 2 usage error (bad flags or tokens).
+Exit code 1 comes with one "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ def _json_dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-
-
 def _field(s: str) -> int:
     try:
         return gf8.from_token(s)
@@ -89,12 +87,12 @@ def _point_text(p) -> str:
 
 
 def _read_json(path: str, what: str):
-    """Parse a JSON file.  A file that cannot be opened, or nests too deeply
-    for the parser, is a DomainError; other parse errors stay ValueErrors."""
+    """Parse a JSON file.  A file that cannot be opened or decoded, is not
+    JSON, or nests too deeply for the parser, is a DomainError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, RecursionError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise DomainError(f"cannot read {what} file: {exc}") from None
 
 
@@ -129,15 +127,14 @@ def _checked_table(seed: SeedSet) -> phasespace.StriationTable:
 
 def _print_solutions(sols: list[solver.Solution], pretty: bool) -> None:
     if not pretty:
-        # Solution payloads hold no floats, so the standard encoder gives
-        # _json_dumps' bytes; writing one solution at a time keeps only
-        # one payload's text alive.
+        # json_text gives _json_dumps' bytes of to_json(); writing one
+        # solution at a time keeps only one payload's text alive.
         write = sys.stdout.write
         write("[")
         for i, sol in enumerate(sols):
             if i:
                 write(",")
-            write(_COMPACT.encode(sol.to_json()))
+            write(sol.json_text())
         write("]\n")
         return
     if not sols:
@@ -228,7 +225,9 @@ def _cmd_verify(args) -> int:
                 for b in report.bases
             ]
         print(_json_dumps(payload))
-    return 0 if report.passed else 1
+    if not report.passed:
+        raise DomainError("MUB verification failed")
+    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -259,7 +258,10 @@ def _cmd_reproduce(args) -> int:
                 print(f"FAIL {c.name}: {c.detail}")
         passed = sum(c.passed for c in checks)
         print(f"{passed}/{len(checks)} checks passed")
-    return 0 if all(c.passed for c in checks) else 1
+    failed = sum(not c.passed for c in checks)
+    if failed:
+        raise DomainError(f"{failed} of {len(checks)} checks failed")
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

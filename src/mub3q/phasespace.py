@@ -211,22 +211,16 @@ def build_table(seed: SeedSet, *, check_seed: bool = True) -> StriationTable:
         errors = seed.well_formedness_errors()
         if errors:
             raise InvalidSeedError("; ".join(errors))
-    return StriationTable(rows=tuple(map(tuple, extend_seed(seed.row1, seed.row2, add_points))))
-
-
-def extend_seed(row1, row2, add) -> list[list]:
-    """The recursion of build_table over any point representation: the 9
-    rows grown from two seed triples, with `add` the point sum."""
     rows = []
-    for base in (row1, row2):
+    for base in (seed.row1, seed.row2):
         pts = list(base)
         for c in range(3, 7):
-            pts.append(add(pts[c - 2], pts[c - 3]))
+            pts.append(add_points(pts[c - 2], pts[c - 3]))
         rows.append(pts)
     row1, row2 = rows
     for shift in range(7):  # rows 3..9
-        rows.append(list(map(add, row2, row1[shift:] + row1[:shift])))
-    return rows
+        rows.append(list(map(add_points, row2, row1[shift:] + row1[:shift])))
+    return StriationTable(rows=tuple(map(tuple, rows)))
 
 
 def check_all_striation_conditions(table: StriationTable) -> bool:

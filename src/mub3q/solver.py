@@ -15,22 +15,22 @@ output is lexicographically sorted.  Degenerate assignments (seeds that
 fail well-formedness or whose table fails validation) are returned with
 valid=False rather than dropped.
 
-Validity is decided exactly on the 63 points of the table built by
-recursion: they must be distinct and nonzero, and in each row the three
-pairs of its first three points must commute.  Every row is the 7
-nonzero GF(2) combinations of its first three points, so distinct nonzero
-points make each row plus the origin a 3-dimensional subspace and the 9
-rows a partition of the 63 nonzero points; the symplectic form is
-bilinear, so the generators commuting makes the whole row commute.  The
-rule therefore equals well-formedness plus phasespace.validate_table,
-which stays the general check for tables given as input.
+A solution is valid exactly when its six seed points are GF(2)-independent.
+Every table point is the sum of the seed points that its coefficient
+vector in GF(2)^6 selects, and the 63 table positions carry the 63
+nonzero vectors once each; so the 63 points are distinct and nonzero,
+each row plus the origin a 3-dimensional subspace and the 9 rows a
+partition, iff the seed points are independent.  The twelve equations
+are the row-commutation conditions, and every solution satisfies them.
+Validity is therefore one rank test per solution; solution_is_valid adds
+the equations for arbitrary seeds, and phasespace.validate_table stays
+the general check for tables given as input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import xor
 from typing import NamedTuple
 
 from . import gf8, phasespace
@@ -76,11 +76,10 @@ _TRACE_FORM = tuple(
     sum(gf8.TRACE[gf8.mul(c, 1 << j)] << j for j in range(3)) for c in range(8)
 )
 
-# A point (a, b) packs into x = a << 3 | b.  Points x and y commute iff
-# _DUAL[x] & y has even parity: tr(a*b') + tr(a'*b) is the parity of
-# (_TRACE_FORM[b] << 3 | _TRACE_FORM[a]) & (a' << 3 | b').
-_DUAL = tuple(_TRACE_FORM[x & 7] << 3 | _TRACE_FORM[x >> 3] for x in range(64))
-_ODD = tuple(bin(x).count("1") & 1 for x in range(64))
+# Compact JSON text of each element's token and of each point packed as
+# a << 3 | b, from which Solution.json_text is joined.
+_TOKEN_TEXT = tuple(f'"{t}"' for t in gf8.TOKEN_OF)
+_POINT_TEXT = tuple(f"[{_TOKEN_TEXT[x >> 3]},{_TOKEN_TEXT[x & 7]}]" for x in range(64))
 
 
 class InvalidInputError(ValueError):
@@ -177,6 +176,16 @@ class Solution:
             "valid": self.valid,
         }
 
+    def json_text(self) -> str:
+        """to_json() as compact JSON text, joined from the token tables."""
+        free = ",".join(f'"{n}":{_TOKEN_TEXT[v]}' for n, v in self.free)
+        row1, row2 = (
+            ",".join([_POINT_TEXT[a << 3 | b] for a, b in row])
+            for row in (self.seed.row1, self.seed.row2)
+        )
+        valid = "true" if self.valid else "false"
+        return f'{{"free":{{{free}}},"seed":{{"row1":[{row1}],"row2":[{row2}]}},"valid":{valid}}}'
+
 
 def _solved_fixings(fixed: dict[str, int], free: list[str]):
     """Solve the twelve equations as GF(2) systems, one per sweep point.
@@ -270,24 +279,16 @@ def enumerate_assignments(
     return [{**fixed, **dict(zip(free, values))} for values in solutions]
 
 
+def _independent(seed: SeedSet) -> bool:
+    """The six seed points, packed as a << 3 | b, are GF(2)-independent."""
+    return len(phasespace.greedy_basis([a << 3 | b for a, b in seed.points()])) == 6
+
+
 def solution_is_valid(seed: SeedSet) -> bool:
     """Well-formed seed whose table passes every validation flag, decided
-    by the exact rule of the module docstring: the 63 table points are
-    distinct and nonzero, and each row's first three points commute."""
-    rows = phasespace.extend_seed(
-        [a << 3 | b for a, b in seed.row1], [a << 3 | b for a, b in seed.row2], xor
-    )
-    seen = 1  # the origin
-    for row in rows:
-        x, y, z = row[:3]
-        if _ODD[_DUAL[x] & y] or _ODD[_DUAL[x] & z] or _ODD[_DUAL[y] & z]:
-            return False
-        for p in row:
-            bit = 1 << p
-            if seen & bit:
-                return False
-            seen |= bit
-    return True
+    by the rule of the module docstring: the seed points are independent
+    and the twelve equations hold."""
+    return _independent(seed) and phasespace.check_twelve_equations(seed)
 
 
 def _package(assignments, free_names) -> list[Solution]:
@@ -300,7 +301,7 @@ def _package(assignments, free_names) -> list[Solution]:
             row2=((p["a21"], p["b21"]), (p["a22"], p["b22"]), (p["a23"], p["b23"])),
         )
         free = tuple((n, p[n]) for n in free_names)
-        out.append(Solution(seed=seed, free=free, valid=solution_is_valid(seed)))
+        out.append(Solution(seed=seed, free=free, valid=_independent(seed)))
     return out
 
 
@@ -321,7 +322,7 @@ def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Sol
             seed = SeedSet.from_params(_axes_seed_params(fixed["l1"], fixed["l2"], l3))
             if phasespace.check_twelve_equations(seed):
                 out.append(
-                    Solution(seed=seed, free=(("l3", l3),), valid=solution_is_valid(seed))
+                    Solution(seed=seed, free=(("l3", l3),), valid=_independent(seed))
                 )
         return out
     assignments = enumerate_assignments(scenario.pinned(), allow_large=allow_large)

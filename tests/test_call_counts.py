@@ -53,11 +53,17 @@ def test_verify_builds_nine_bases_without_purities(monkeypatch, capsys):
 
 
 def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypatch, capsys):
-    counts = _counted(monkeypatch, ((solver, "solution_is_valid"), (phasespace, "validate_table")))
+    counts = _counted(monkeypatch, (
+        (phasespace, "greedy_basis"),
+        (solver, "solution_is_valid"),
+        (phasespace, "validate_table"),
+        (phasespace, "failing_equations"),
+    ))
     fixing = ["a11=0", "a13=1", "b13=m", "a21=0", "a22=m5", "b22=m3"]
     argv = ["solve", "--scenario", "generic"] + [f for pair in fixing for f in ("--fix", pair)]
     assert cli.main(argv) == 0
     sols = json.loads(capsys.readouterr().out)
     assert len(sols) == 368 and sum(s["valid"] for s in sols) == 16
-    # validate_table is never called: the exact rule runs once per solution
-    assert counts == {"solution_is_valid": 368}
+    # one independence test of the six seed points per solution; neither
+    # the table nor the equations are checked again
+    assert counts == {"greedy_basis": 368}

@@ -161,6 +161,20 @@ def test_seed_file_too_deeply_nested(tmp_path, capsys, command):
     assert err.startswith("error: cannot read seed file: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, what",
+    [("solve", "--scenario-file", "scenario")]
+    + [(command, "--seed-file", "seed") for command in ("table", "verify", "classify")],
+)
+@pytest.mark.parametrize("content", [b"{", b"[1,", b"\xff\xfe"], ids=["open-brace", "open-list", "not-utf8"])
+def test_undecodable_file_names_the_file(tmp_path, capsys, command, flag, what, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli([command, flag, str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {what} file: ") and err.count("\n") == 1
+
+
 def test_solve_repeated_fix_is_usage_error(capsys):
     code, out, err = run_cli(
         ["solve", "--scenario", "generic", "--fix", "b11=m", "--fix", "b11=m2"], capsys
@@ -318,8 +332,9 @@ def test_reproduce_paper_reports_known_misprints(capsys):
 
 
 def test_reproduce_paper_lines(capsys):
-    code, out, _ = run_cli(["reproduce-paper"], capsys)
+    code, out, err = run_cli(["reproduce-paper"], capsys)
     assert code == 1
+    assert err == "error: 3 of 60 checks failed\n"
     lines = out.strip().splitlines()
     assert lines[-1].endswith("checks passed")
     assert sum(line.startswith("PASS ") for line in lines) == len(lines) - 4
@@ -436,3 +451,54 @@ def test_file_inputs_end_in_one_line_or_success(tmp_path_factory, case, pretty, 
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1
     assert (code == 0) == (err.getvalue() == "")
+
+
+# Arbitrary argv over the CLI's own vocabulary.  --allow-large is left out,
+# so no draw enumerates more than 8^6 candidates.
+_SWITCHES = ["--json", "--pretty", "--render", "--curves", "--amplitudes", "--help"]
+_VALUE_FLAGS = ["--scenario", "--scenario-file", "--seed-file", "--fix",
+                *(f"--{name}" for name in cli.SOLVE_FLAGS)]
+_JUNK = st.text(max_size=4)
+_PAIR = st.builds("{}={}".format, _NAMES | _JUNK, _TOKENS | _JUNK)
+_GROUP = st.one_of(
+    st.tuples(st.sampled_from(_SWITCHES)),
+    st.tuples(st.sampled_from(_VALUE_FLAGS), _TOKENS | _JUNK),
+    st.tuples(st.just("--scenario"), st.sampled_from(solver.SCENARIO_KINDS)),
+    st.tuples(st.just("--fix"), _PAIR),
+    st.tuples(st.sampled_from(_SWITCHES + _VALUE_FLAGS) | _TOKENS | _PAIR | _JUNK),
+)
+
+
+@st.composite
+def _complete_args(draw) -> list[str]:
+    """All twelve seed flags, or a scenario with the flags it fixes (generic:
+    six or seven --fix pairs), so that commands get past the usage checks."""
+    kind = draw(st.sampled_from(["seed", *solver.SCENARIO_KINDS]))
+    if kind == "seed":
+        return [w for name in PARAM_NAMES for w in (f"--{name}", draw(_TOKENS))]
+    names = solver.SCHEMES[kind].fixes
+    if names is None:
+        pairs = [f"{draw(_NAMES)}={draw(_TOKENS)}" for _ in range(draw(st.integers(6, 7)))]
+        return ["--scenario", kind, *(w for pair in pairs for w in ("--fix", pair))]
+    return ["--scenario", kind, *(w for name in names for w in (f"--{name}", draw(_TOKENS)))]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    commands = ["solve", "table", "verify", "classify", "reproduce-paper"]
+    command = draw(st.one_of(*map(st.just, commands), _JUNK))
+    words = [w for group in draw(st.lists(_GROUP, max_size=4)) for w in group]
+    return [command, *words, *draw(st.just([]) | _complete_args())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argvs())
+def test_any_argv_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception escaping main fails the test
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

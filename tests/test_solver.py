@@ -1,8 +1,11 @@
 """Solvers for the twelve equations: reference examples, cross-checks, guards."""
 
+import json
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mub3q import gf8, reference
@@ -10,6 +13,7 @@ from mub3q.phasespace import PARAM_NAMES, TWELVE_EQUATIONS, SeedSet, build_table
 from mub3q.solver import (
     CostGuardError,
     InvalidInputError,
+    SCHEMES,
     Scenario,
     count_assignments,
     enumerate_assignments,
@@ -473,3 +477,84 @@ def test_validity_rule_rejects_non_commuting_partition(row1, row2):
     # rows are disjoint subgroups covering the 63 points, but do not commute
     assert report.first_failure() == "rows-commute"
     assert not solution_is_valid(seed)
+
+
+# ---------------------------------------------------------------------------
+# the rank rule of solve_scenario and the JSON text of a solution
+# ---------------------------------------------------------------------------
+
+# Point i of the six packs the unit vector 1 << i of GF(2)^6 as a << 3 | b.
+_UNITS = tuple((1 << i >> 3, 1 << i & 7) for i in range(6))
+_UNIT_TABLE = build_table(SeedSet(row1=_UNITS[:3], row2=_UNITS[3:]), check_seed=False)
+
+
+def test_table_positions_carry_each_nonzero_vector_once():
+    vectors = [a << 3 | b for row in _UNIT_TABLE.rows for a, b in row]
+    assert sorted(vectors) == list(range(1, 64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triples, _triples)
+def test_table_point_is_sum_of_selected_seed_points(row1, row2):
+    seed = SeedSet(row1=row1, row2=row2)
+    table = build_table(seed, check_seed=False)
+    for row, vectors in zip(table.rows, _UNIT_TABLE.rows):
+        for point, (va, vb) in zip(row, vectors):
+            a = b = 0
+            for i, (sa, sb) in enumerate(seed.points()):
+                if (va << 3 | vb) >> i & 1:
+                    a, b = a ^ sa, b ^ sb
+            assert point == (a, b)
+
+
+def _check_solutions(sols) -> None:
+    for sol in sols:
+        assert sol.valid == _validity_oracle(sol.seed)
+        assert sol.json_text() == json.dumps(sol.to_json(), separators=(",", ":"))
+
+
+_elements = st.sampled_from(gf8.ELEMENTS)
+_BASIS_TRIPLES = [
+    (x, y, z) for x, y, z in product(NONZERO, repeat=3)
+    if x != y and z not in (0, x, y, x ^ y)
+]
+
+
+@st.composite
+def _scheme_scenarios(draw):
+    kind = draw(st.sampled_from([k for k in SCHEMES if k != "generic"]))
+    if kind == "three-axes":
+        l1, l2 = draw(st.lists(st.sampled_from(NONZERO), min_size=2, max_size=2, unique=True))
+        return Scenario.make(kind, {"l1": l1, "l2": l2})
+    fixed = {n: draw(_elements) for n in SCHEMES[kind].fixes}
+    if kind != "no-axis":  # b11, b12, b13 must be a basis
+        fixed.update(zip(("b11", "b12", "b13"), draw(st.sampled_from(_BASIS_TRIPLES))))
+    return Scenario.make(kind, fixed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scheme_scenarios())
+def test_scheme_solutions_valid_and_json_match_oracles(scenario):
+    _check_solutions(solve_scenario(scenario))
+
+
+@st.composite
+def _generic_scenarios(draw):
+    names = draw(st.permutations(PARAM_NAMES))[:draw(st.integers(min_value=5, max_value=7))]
+    fixed = {n: draw(_elements) for n in names}
+    # the oracle rebuilds and validates each table: keep each example small
+    assume(count_assignments(fixed) <= 3000)
+    return Scenario.make("generic", fixed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_generic_scenarios())
+def test_generic_solutions_valid_and_json_match_oracles(scenario):
+    _check_solutions(solve_scenario(scenario, allow_large=True))
+
+
+def test_mixed_solution_set_valid_and_json_match_oracles():
+    fixed = {"a11": tk("m2"), "b11": tk("m5"), "b12": tk("m3"), "b13": tk("1"), "a21": tk("m3")}
+    sols = solve_generic(fixed, allow_large=True)
+    assert 0 < sum(s.valid for s in sols) < len(sols) == 848
+    _check_solutions(sols)
