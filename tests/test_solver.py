@@ -511,6 +511,11 @@ def _check_solutions(sols) -> None:
     for sol in sols:
         assert sol.valid == _validity_oracle(sol.seed)
         assert sol.json_text() == json.dumps(sol.to_json(), separators=(",", ":"))
+        # The twelve equations leave the symplectic form, pulled back to the
+        # coefficient vectors, zero or nondegenerate: the seed points span
+        # at most 3 dimensions, or all 6.
+        span = {p for row in build_table(sol.seed, check_seed=False).rows for p in row}
+        assert len(span | {(0, 0)}) in (1, 2, 4, 8, 64)
 
 
 _elements = st.sampled_from(gf8.ELEMENTS)
