@@ -248,6 +248,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     checks = reference.run_all_checks()
+    failed = sum(not c.passed for c in checks)
     if args.json:
         print(_json_dumps([c.to_json() for c in checks]))
     else:
@@ -256,9 +257,7 @@ def _cmd_reproduce(args) -> int:
                 print(f"PASS {c.name}")
             else:
                 print(f"FAIL {c.name}: {c.detail}")
-        passed = sum(c.passed for c in checks)
-        print(f"{passed}/{len(checks)} checks passed")
-    failed = sum(not c.passed for c in checks)
+        print(f"{len(checks) - failed}/{len(checks)} checks passed")
     if failed:
         raise DomainError(f"{failed} of {len(checks)} checks failed")
     return 0
