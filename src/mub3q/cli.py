@@ -7,13 +7,16 @@ deterministic: fixed key order, floats at 12 significant digits.
 
 Exit codes: 0 success, 1 domain failure (invalid input, failed
 verification, failed checks), 2 usage error (bad flags or tokens).
-Exit code 1 comes with one "error: ..." line on stderr.
+Exit code 1 comes with one "error: ..." line on stderr; so does a closed
+output pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import gf8, mub, phasespace, reference, solver
@@ -263,6 +266,7 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mub3q",
@@ -319,9 +323,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; return its exit code.  May be called repeatedly in
+    one process: the parser is built on the first call and reused."""
     try:
-        args = parser.parse_args(argv)
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  Point its descriptor at devnull, so the
+        # interpreter's final flush of what is still buffered cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(argv) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,6 +1,7 @@
 """Each result is computed once: solves, basis builds and validity checks
 counted per command."""
 
+import argparse
 import json
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 
 from mub3q import cli, mub, phasespace, reference, solver
 
-from test_cli import SEED_M3
+from test_cli import GENERIC_SIX, SEED_M3, SEED_NO_AXIS, THREE_AXES
 
 
 def _counted(monkeypatch, targets) -> Counter:
@@ -59,11 +60,31 @@ def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypa
         (phasespace, "validate_table"),
         (phasespace, "failing_equations"),
     ))
-    fixing = ["a11=0", "a13=1", "b13=m", "a21=0", "a22=m5", "b22=m3"]
-    argv = ["solve", "--scenario", "generic"] + [f for pair in fixing for f in ("--fix", pair)]
-    assert cli.main(argv) == 0
+    assert cli.main(GENERIC_SIX) == 0
     sols = json.loads(capsys.readouterr().out)
     assert len(sols) == 368 and sum(s["valid"] for s in sols) == 16
     # one independence test of the six seed points per solution; neither
     # the table nor the equations are checked again
     assert counts == {"greedy_basis": 368}
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    assert cli.main(THREE_AXES) == 0  # builds the parser if no test has yet
+    counts = _counted(monkeypatch, ((argparse.ArgumentParser, "add_argument"),))
+    runs = [
+        (THREE_AXES, 0),
+        (["solve", "--scenario", "two-axes", "--b11", "m4", "--b12", "m3",
+          "--b13", "m5", "--a21", "1"], 0),
+        ([*GENERIC_SIX, "--pretty"], 0),
+        (["table", *SEED_M3, "--render", "--curves"], 0),
+        (["verify", *SEED_M3], 0),
+        (["classify", *SEED_NO_AXIS, "--pretty"], 0),
+        (["reproduce-paper", "--json"], 1),  # the three known misprints
+        (["--help"], 0),
+        (["classify", "--help"], 0),
+        (["verify", "--bogus"], 2),
+        (["solve", "--scenario", "three-axes"], 2),
+    ]
+    assert [cli.main(argv) for argv, _ in runs] == [code for _, code in runs]
+    capsys.readouterr()
+    assert counts == {}

@@ -34,6 +34,13 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def _captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -84,15 +91,31 @@ def test_solve_pretty_encodes_same_data(capsys):
     assert _parse_pretty_solutions(pout) == json.loads(jout)
 
 
+GENERIC_TEN = ["solve", "--scenario", "generic",
+               "--fix", "a11=0", "--fix", "b11=m2", "--fix", "a12=0", "--fix", "b12=m6",
+               "--fix", "a13=0", "--fix", "a21=m2", "--fix", "b21=0", "--fix", "a22=m6",
+               "--fix", "b22=0", "--fix", "b23=0"]
+GENERIC_SIX = ["solve", "--scenario", "generic", *(w for pair in (
+    "a11=0", "a13=1", "b13=m", "a21=0", "a22=m5", "b22=m3") for w in ("--fix", pair))]
+
+
 def test_solve_generic_with_fix(capsys):
-    argv = ["solve", "--scenario", "generic",
-            "--fix", "a11=0", "--fix", "b11=m2", "--fix", "a12=0", "--fix", "b12=m6",
-            "--fix", "a13=0", "--fix", "a21=m2", "--fix", "b21=0", "--fix", "a22=m6",
-            "--fix", "b22=0", "--fix", "b23=0"]
-    code, out, _ = run_cli(argv, capsys)
+    code, out, _ = run_cli(GENERIC_TEN, capsys)
     assert code == 0
     sols = json.loads(out)
     assert [s["free"] for s in sols] == [
+        {"b13": "m3", "a23": "m3"}, {"b13": "m5", "a23": "m5"}
+    ]
+
+
+def test_generic_fixings_do_not_carry_over_between_calls(capsys):
+    # the parser is shared by all calls in a process; a --fix list left over
+    # from the first solve would repeat a11 in the second
+    code, out, _ = run_cli(GENERIC_SIX, capsys)
+    assert code == 0 and len(json.loads(out)) == 368
+    code, out, err = run_cli(GENERIC_TEN, capsys)
+    assert (code, err) == (0, "")
+    assert [s["free"] for s in json.loads(out)] == [
         {"b13": "m3", "a23": "m3"}, {"b13": "m5", "a23": "m5"}
     ]
 
@@ -373,6 +396,30 @@ def test_module_entry_point_subprocess():
     assert json.loads(result.stdout)[0]["free"] == {"l3": "m3"}
 
 
+# About 330 KB of JSON, more than a pipe buffer holds: the child is still
+# writing when the reader closes the pipe after 100 characters.
+_LARGE_SOLVE = ["solve", "--scenario", "generic", "--allow-large", *(w for pair in (
+    "a11=1", "b11=m", "a12=m2", "b12=m3", "a21=m4") for w in ("--fix", pair))]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, head", [(_LARGE_SOLVE, 100), (THREE_AXES, 0)],
+                         ids=["large", "small"])
+def test_closed_output_pipe_ends_in_one_error_line(argv, head, unbuffered):
+    # head 0 closes the pipe before the child has written anything
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mub3q", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=dict(_child_env(), PYTHONUNBUFFERED=unbuffered),
+    )
+    if head:
+        assert proc.stdout.read(head).startswith("[{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_exact_commands_run_without_numpy(capsys):
     # numpy is imported only by the numeric checks: with numpy made
     # unimportable, these commands give the same output as here
@@ -445,12 +492,10 @@ def test_file_inputs_end_in_one_line_or_success(tmp_path_factory, case, pretty, 
     path.write_text(json.dumps(content) if raw is None else raw, encoding="utf-8")
     flag = "--scenario-file" if command == "solve" else "--seed-file"
     argv = [command, flag, str(path)] + (["--pretty"] if pretty else [])
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)  # an exception escaping main fails the test
+    code, _, err = _captured(argv)  # an exception escaping main fails the test
     assert code in (0, 1, 2)
-    assert err.getvalue().count("\n") <= 1
-    assert (code == 0) == (err.getvalue() == "")
+    assert err.count("\n") <= 1
+    assert (code == 0) == (err == "")
 
 
 # Arbitrary argv over the CLI's own vocabulary.  --allow-large is left out,
@@ -491,14 +536,20 @@ def _argvs(draw) -> list[str]:
     return [command, *words, *draw(st.just([]) | _complete_args())]
 
 
+@pytest.fixture(scope="module")
+def three_axes_reference():
+    return _captured(THREE_AXES)
+
+
 @settings(max_examples=200, deadline=None)
 @given(argv=_argvs())
-def test_any_argv_ends_in_an_exit_code(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)  # an exception escaping main fails the test
+def test_any_argv_ends_in_an_exit_code(three_axes_reference, argv):
+    code, _, err = _captured(argv)  # an exception escaping main fails the test
     assert code in (0, 1, 2)
     if code == 0:
-        assert err.getvalue() == ""
+        assert err == ""
     if code == 1:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # the parser is shared by all calls in a process: no drawn argv may
+    # change what a later call prints
+    assert _captured(THREE_AXES) == three_axes_reference
