@@ -266,9 +266,18 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own `_print_message` swallows an OSError from writing help
+    or usage; this one lets a closed pipe's BrokenPipeError reach `main`."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mub3q",
         description="Three-qubit MUB sets from GF(8) phase-space striations.",
     )

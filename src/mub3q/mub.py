@@ -1,9 +1,12 @@
 """Eigenbases of the nine commuting classes and their MUB checks.
 
 Each class of 7 commuting Paulis has a common eigenbasis of 8 states,
-built deterministically from rank-1 projector products over the three
-generators (one projector per sign pattern).  Two bases are mutually
-unbiased when every cross overlap has squared magnitude 1/8.
+one per sign pattern of the three generators.  The Paulis are signed
+permutations, so each state is built exactly from the 8 group elements
+as (x mask, z mask, phase) triples: no matrix is multiplied and no
+projector is formed.  Two bases are mutually unbiased when every cross
+overlap has squared magnitude 1/8; `verify_mub_set` reads every overlap
+of a table's nine bases from one 72x72 Gram matrix of their states.
 
 Each basis is labeled triseparable / biseparable / nonseparable exactly,
 from its class: qubit j of every eigenstate is pure iff the class holds
@@ -20,8 +23,9 @@ and structure need no numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .pauli import OperatorClass, class_from_row
@@ -39,10 +43,23 @@ BISEPARABLE = "biseparable"
 NONSEPARABLE = "nonseparable"
 
 _SIGN_PATTERNS = tuple(product((1, -1), repeat=3))
+# Bit j of a flip mask is set when generator j takes the sign -1.
+_FLIP_MASKS = tuple(
+    sum(1 << j for j, s in enumerate(signs) if s < 0) for signs in _SIGN_PATTERNS
+)
+# A normalised column with 8/n entries of magnitude n/8: each entry over
+# the float norm of the column, the value a numeric normalisation gives.
+_MAGNITUDES = {n: n / 8 / math.sqrt(8 // n * (n / 8) ** 2) for n in (1, 2, 4, 8)}
+# i^k times that magnitude, k = 0..3, with no negative zeros.
+_UNITS = {
+    n: (complex(m, 0.0), complex(0.0, m), complex(-m, 0.0), complex(0.0, -m))
+    for n, m in _MAGNITUDES.items()
+}
 
 
 class EigenbasisError(RuntimeError):
-    """A projector product failed to have rank 1 (dependent generators?)."""
+    """The generators have no common eigenbasis of 8 states: one is not
+    Hermitian, two anticommute, or they are dependent."""
 
 
 class SeparabilityError(ValueError):
@@ -57,34 +74,65 @@ class Basis:
     label: str
 
 
+def _group(gens) -> list[tuple[int, int, int]]:
+    """The 8 products of three commuting Hermitian generators as
+    (x mask, z mask, e) triples, element t multiplying the generators
+    whose bits are set in t.  The operator maps basis vector e_c to
+    i^(e + 2 popcount(c & z)) e_(c ^ x), as in `PauliOp.matrix`."""
+    elems = [(0, 0, 0)]
+    for g in gens:
+        if g.phase % 2:
+            raise EigenbasisError(f"generator {g.label()} is not Hermitian")
+        x = g.x[0] << 2 | g.x[1] << 1 | g.x[2]
+        z = g.z[0] << 2 | g.z[1] << 1 | g.z[2]
+        if any(((x & z1).bit_count() + (x1 & z).bit_count()) % 2 for x1, z1, _ in elems):
+            raise EigenbasisError(f"generator {g.label()} anticommutes with another")
+        e = g.phase + (x & z).bit_count()
+        elems += [
+            (x1 ^ x, z1 ^ z, (e1 + e + 2 * (x & z1).bit_count()) % 4)
+            for x1, z1, e1 in elems
+        ]
+    if len({(x, z) for x, z, _ in elems}) != 8:
+        raise EigenbasisError("dependent generators: two products share their X and Z bits")
+    return elems
+
+
 def eigenbasis(op_class: OperatorClass) -> Basis:
     """Common eigenbasis of a commuting class, one state per sign pattern.
 
-    For signs s in {+1,-1}^3 the product of (1 + s_j G_j)/2 over the
-    generators is a rank-1 projector; its first nonzero column, with the
-    global phase fixed so the first nonzero amplitude is real positive,
-    is the state.  The label is the class's exact one (`class_label`).
+    For signs s in {+1,-1}^3 the projector onto the common eigenspace is
+    (1/8) sum over the 8 group elements S of chi_s(S) S, where chi_s(S)
+    multiplies the signs of the generators in S.  Each S is a signed
+    permutation, so column c of the sum is exact: S e_c is one unit i^k
+    at index c ^ x_S.  The state is the first column whose diagonal entry
+    is nonzero, normalised, with the global phase fixed so the first
+    nonzero amplitude is real positive.  No matrix is multiplied and no
+    projector is formed.  The label is the class's exact one
+    (`class_label`).
     """
     import numpy as np
 
-    gens = [op.matrix() for op in op_class.generator_ops()]
-    eye = np.eye(8, dtype=complex)
-    states = np.empty((8, 8), dtype=complex)
-    for row, signs in enumerate(_SIGN_PATTERNS):
-        proj = eye
-        for s, g in zip(signs, gens):
-            proj = proj @ (eye + s * g) / 2
-        if abs(proj.trace().real - 1.0) > 1e-8:
-            raise EigenbasisError(
-                f"projector rank {proj.trace().real:.3f} != 1 for signs {signs}"
-            )
-        norms = np.linalg.norm(proj, axis=0)
-        col = int(np.argmax(norms > 1e-8))
-        state = proj[:, col] / norms[col]
-        first = state[np.argmax(np.abs(state) > 1e-8)]
-        state = state * (first.conjugate() / abs(first))
-        states[row] = state
-    return Basis(states=states, label=class_label(op_class))
+    elems = _group(op_class.generator_ops())
+    # The diagonal entry of column c adds the units of the n elements with
+    # no X bits; it is nonzero iff each of them acts on e_c as +1.  Then
+    # the n elements sharing any X bits add equal units, so the column
+    # holds 8/n entries n/8 * i^k, and its normalised entries all have
+    # the magnitude `_MAGNITUDES[n]`.  The diagonal entry is real positive
+    # and, c being the first index of the support, the first nonzero one:
+    # the column already meets the phase rule.
+    n = sum(x == 0 for x, _, _ in elems)
+    units = _UNITS[n]
+    states = []
+    for flips in _FLIP_MASKS:
+        signed = [(x, z, e + 2 * (t & flips).bit_count()) for t, (x, z, e) in enumerate(elems)]
+        diagonal = [(z, e) for x, z, e in signed if x == 0]
+        c = next(
+            c for c in range(8)
+            if all((e + 2 * (c & z).bit_count()) % 4 == 0 for z, e in diagonal)
+        )
+        column = {c ^ x: (e + 2 * (c & z).bit_count()) % 4 for x, z, e in signed}
+        states.append([units[column[r]] if r in column else 0j for r in range(8)])
+    return Basis(states=np.array(states, dtype=complex), label=class_label(op_class))
 
 
 def _label_of_pure_count(pure_count: int) -> str:
@@ -194,11 +242,20 @@ def structure_of(labels: list[str]) -> tuple[int, int, int]:
 
 
 def verify_mub_set(table: StriationTable) -> MubReport:
-    """Build all nine bases and measure orthonormality and unbiasedness.
-    The report keeps the bases, so callers need not build them again."""
+    """Build all nine bases and measure orthonormality and unbiasedness
+    from one Gram matrix of their 72 states: `orthonormality_defect` of
+    its diagonal 8x8 blocks and `unbiasedness` of the 36 blocks above
+    them.  The report keeps the bases, so callers need not build them
+    again."""
+    import numpy as np
+
     bases = build_bases(table)
-    ortho = max(orthonormality_defect(b) for b in bases)
-    unbias = max(unbiasedness(b1, b2) for b1, b2 in combinations(bases, 2))
+    k = len(bases)
+    stacked = np.concatenate([b.states for b in bases])
+    blocks = (stacked.conj() @ stacked.T).reshape(k, 8, k, 8).transpose(0, 2, 1, 3)
+    diag = np.arange(k)
+    ortho = float(np.max(np.abs(blocks[diag, diag] - np.eye(8))))
+    unbias = float(np.max(np.abs(np.abs(blocks[np.triu_indices(k, 1)]) ** 2 - 0.125)))
     return MubReport(
         orthonormality_defect=ortho,
         unbiasedness_defect=unbias,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import gf8
-from .phasespace import Point
+from .phasespace import ORIGIN, Point, add_points, greedy_basis
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,10 +152,15 @@ def _check_class(ops: tuple[PauliOp, ...]) -> None:
 
 
 def class_from_row(row: tuple[Point, ...]) -> OperatorClass:
-    """Map a striation row to its commuting class; columns 1-3 generate."""
+    """Map a striation row to its commuting class.  The generators are the
+    first three GF(2)-independent points in row order (`greedy_basis`),
+    columns 1-3 for every row `build_table` makes.  A row of rank below
+    3 keeps columns 1-3, which `mub.eigenbasis` rejects as dependent."""
     ops = tuple(point_to_pauli(p) for p in row)
     _check_class(ops)
-    return OperatorClass(ops=ops, generators=(0, 1, 2))
+    basis = greedy_basis(row, add_points, ORIGIN)
+    generators = tuple(map(row.index, basis)) if len(basis) == 3 else (0, 1, 2)
+    return OperatorClass(ops=ops, generators=generators)
 
 
 def class_from_generators(g1: PauliOp, g2: PauliOp, g3: PauliOp) -> OperatorClass:

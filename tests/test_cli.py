@@ -6,14 +6,18 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mub3q import cli, gf8, solver
 from mub3q.phasespace import PARAM_NAMES
+
+from conftest import symplectic_image
 
 THREE_AXES = ["solve", "--scenario", "three-axes", "--l1", "m2", "--l2", "m6"]
 SEED_M3 = [
@@ -403,8 +407,8 @@ _LARGE_SOLVE = ["solve", "--scenario", "generic", "--allow-large", *(w for pair 
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv, head", [(_LARGE_SOLVE, 100), (THREE_AXES, 0)],
-                         ids=["large", "small"])
+@pytest.mark.parametrize("argv, head", [(_LARGE_SOLVE, 100), (THREE_AXES, 0), (["--help"], 0)],
+                         ids=["large", "small", "help"])
 def test_closed_output_pipe_ends_in_one_error_line(argv, head, unbuffered):
     # head 0 closes the pipe before the child has written anything
     proc = subprocess.Popen(
@@ -515,12 +519,16 @@ _GROUP = st.one_of(
 
 
 @st.composite
-def _complete_args(draw) -> list[str]:
-    """All twelve seed flags, or a scenario with the flags it fixes (generic:
-    six or seven --fix pairs), so that commands get past the usage checks."""
-    kind = draw(st.sampled_from(["seed", *solver.SCENARIO_KINDS]))
+def _complete_args(draw, command) -> list[str]:
+    """Flags that get a command past the usage checks: a valid seed (a
+    symplectic image of the three-axes seed) for table, verify and
+    classify, so they can succeed, and for any other command a seed or a
+    scenario with the flags it fixes (generic: six or seven --fix pairs)."""
+    kinds = ["seed"] if command in ("table", "verify", "classify") else ["seed", *solver.SCENARIO_KINDS]
+    kind = draw(st.sampled_from(kinds))
     if kind == "seed":
-        return [w for name in PARAM_NAMES for w in (f"--{name}", draw(_TOKENS))]
+        seed = symplectic_image(draw(st.lists(st.integers(1, 63), min_size=1, max_size=24)))
+        return [w for name, v in seed.params().items() for w in (f"--{name}", gf8.to_token(v))]
     names = solver.SCHEMES[kind].fixes
     if names is None:
         pairs = [f"{draw(_NAMES)}={draw(_TOKENS)}" for _ in range(draw(st.integers(6, 7)))]
@@ -533,7 +541,7 @@ def _argvs(draw) -> list[str]:
     commands = ["solve", "table", "verify", "classify", "reproduce-paper"]
     command = draw(st.one_of(*map(st.just, commands), _JUNK))
     words = [w for group in draw(st.lists(_GROUP, max_size=4)) for w in group]
-    return [command, *words, *draw(st.just([]) | _complete_args())]
+    return [command, *words, *draw(st.just([]) | _complete_args(command))]
 
 
 @pytest.fixture(scope="module")
@@ -553,3 +561,19 @@ def test_any_argv_ends_in_an_exit_code(three_axes_reference, argv):
     # the parser is shared by all calls in a process: no drawn argv may
     # change what a later call prints
     assert _captured(THREE_AXES) == three_axes_reference
+
+
+def test_argv_fuzz_reaches_successful_verify_and_classify():
+    # a fixed sample of the fuzz's argvs: its success paths are exercised
+    successes = Counter()
+
+    @hypothesis.seed(0)
+    @settings(max_examples=200, database=None, deadline=None)
+    @given(argv=_argvs())
+    def tally(argv):
+        code, _, _ = _captured(argv)
+        if code == 0 and "--help" not in argv:
+            successes[argv[0]] += 1
+
+    tally()
+    assert successes["verify"] >= 1 and successes["classify"] >= 1, successes

@@ -1,5 +1,6 @@
 """Eigenbases, unbiasedness, separability labels, structure tuples."""
 
+import random
 from itertools import combinations, product
 
 import numpy as np
@@ -17,6 +18,7 @@ from mub3q.mub import (
     build_bases,
     class_label,
     eigenbasis,
+    orthonormality_defect,
     separability,
     structure,
     structure_of,
@@ -29,13 +31,11 @@ from mub3q.pauli import (
     PauliOp,
     class_from_generators,
     class_from_row,
-    commutes_op,
     pauli_to_point,
-    point_to_pauli,
 )
-from mub3q.phasespace import SeedSet, StriationTable, build_table
+from mub3q.phasespace import ORIGIN, StriationTable, add_points, build_table, greedy_basis
 
-from conftest import seed_from_tokens
+from conftest import seed_from_tokens, symplectic_image
 
 def _class(*labels):
     return class_from_generators(*(PauliOp.from_label(s) for s in labels))
@@ -91,6 +91,88 @@ def test_eigenbasis_deterministic():
     a = eigenbasis(cls).states
     b = eigenbasis(cls).states
     assert a.tobytes() == b.tobytes()
+
+
+def _dense_eigenbasis(op_class) -> np.ndarray:
+    """Oracle: the states from dense products of the rank-1 projectors
+    (1 + s_j G_j)/2 over the generators, one per sign pattern in
+    `mub._SIGN_PATTERNS` order: each projector's first nonzero column,
+    normalised, with the first nonzero amplitude made real positive."""
+    gens = [op.matrix() for op in op_class.generator_ops()]
+    eye = np.eye(8, dtype=complex)
+    states = np.empty((8, 8), dtype=complex)
+    for row, signs in enumerate(mub._SIGN_PATTERNS):
+        proj = eye
+        for s, g in zip(signs, gens):
+            proj = proj @ (eye + s * g) / 2
+        assert abs(proj.trace().real - 1.0) < 1e-8
+        norms = np.linalg.norm(proj, axis=0)
+        col = int(np.argmax(norms > 1e-8))
+        state = proj[:, col] / norms[col]
+        first = state[np.argmax(np.abs(state) > 1e-8)]
+        states[row] = state * (first.conjugate() / abs(first))
+    return states
+
+
+@pytest.fixture(scope="module")
+def image_tables():
+    """200 seeded symplectic images of the three-axes seed."""
+    return [
+        build_table(symplectic_image(rng.choices(range(1, 64), k=rng.randint(1, 24))))
+        for rng in map(random.Random, range(200))
+    ]
+
+
+def _assert_same_as_dense(tables):
+    for table in tables:
+        bases = verify_mub_set(table).bases
+        for row, basis in zip(table.rows, bases):
+            assert basis.states.tobytes() == _dense_eigenbasis(class_from_row(row)).tobytes()
+
+
+def test_eigenbasis_equals_dense_projectors_on_examples(example_tables):
+    _assert_same_as_dense(example_tables.values())
+
+
+def test_eigenbasis_equals_dense_projectors_on_symplectic_images(image_tables):
+    assert {structure(t) for t in image_tables} == set(reference.KNOWN_STRUCTURES)
+    _assert_same_as_dense(image_tables)
+
+
+def test_one_gram_defects_equal_pairwise_defects(example_tables, image_tables):
+    for table in [*example_tables.values(), *image_tables]:
+        report = verify_mub_set(table)
+        assert report.orthonormality_defect == max(map(orthonormality_defect, report.bases))
+        assert report.unbiasedness_defect == max(
+            unbiasedness(b1, b2) for b1, b2 in combinations(report.bases, 2))
+
+
+def test_eigenbasis_builds_no_operator_matrix(monkeypatch):
+    cls = _class("XXX", "ZZI", "IZZ")
+    want = eigenbasis(cls).states.tobytes()
+    monkeypatch.setattr(PauliOp, "matrix", None)
+    assert eigenbasis(cls).states.tobytes() == want
+
+
+@pytest.mark.parametrize("labels", [("+iZII", "IZI", "IIZ"), ("ZII", "XII", "IIZ")],
+                         ids=["non-hermitian", "anticommuting"])
+def test_eigenbasis_rejects_generators_without_a_common_basis(labels):
+    ops = tuple(PauliOp.from_label(s) for s in labels)
+    with pytest.raises(mub.EigenbasisError):
+        eigenbasis(OperatorClass(ops=ops))
+
+
+def test_class_from_row_generators_span_sorted_rows(example_tables):
+    # sorted, a row's first three points are GF(2)-dependent
+    for table in example_tables.values():
+        rows = tuple(tuple(sorted(row)) for row in table.rows)
+        for row in rows:
+            cls = class_from_row(row)
+            gens = [pauli_to_point(op) for op in cls.generator_ops()]
+            assert len(greedy_basis(gens, add_points, ORIGIN)) == 3
+        report = verify_mub_set(StriationTable(rows=rows))
+        assert report.passed
+        assert report.structure == structure(table)
 
 
 def test_eigenbasis_rejects_dependent_generators():
@@ -247,29 +329,10 @@ def test_exact_labels_match_purities_on_examples(example_tables):
         _check_exact_against_numeric(table)
 
 
-def _transvect(p, vs):
-    """Image of point p under the transvections u -> u + <u, v> v, in order."""
-    op = point_to_pauli(p)
-    for v in vs:
-        if not commutes_op(op, v):
-            op = op * v
-    return pauli_to_point(op)
-
-
-_NONZERO_PAULIS = st.integers(1, 63).map(
-    lambda n: PauliOp(x=((n >> 5) & 1, (n >> 4) & 1, (n >> 3) & 1),
-                      z=((n >> 2) & 1, (n >> 1) & 1, n & 1))
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(vs=st.lists(_NONZERO_PAULIS, min_size=1, max_size=24))
-def test_exact_labels_match_purities_on_symplectic_images(three_axes_m3_table, vs):
-    # transvections generate Sp(6, 2): they keep commutation and the
-    # partition, but not the separability structure
-    rows = three_axes_m3_table.rows
-    seed = SeedSet(*(tuple(_transvect(p, vs) for p in row[:3]) for row in rows[:2]))
-    _check_exact_against_numeric(build_table(seed))
+@given(indices=st.lists(st.integers(1, 63), min_size=1, max_size=24))
+def test_exact_labels_match_purities_on_symplectic_images(indices):
+    _check_exact_against_numeric(build_table(symplectic_image(indices)))
 
 
 # Symplectic images of the three-axes seed with the two structures that no
