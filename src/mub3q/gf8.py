@@ -74,6 +74,10 @@ def mul(x: FieldElement, y: FieldElement) -> FieldElement:
     return EXP[(LOG[x] + LOG[y]) % 7]
 
 
+# MUL[x][y] = x * y, the product table.
+MUL: tuple[tuple[int, ...], ...] = tuple(tuple(mul(x, y) for y in range(8)) for x in range(8))
+
+
 def square(x: FieldElement) -> FieldElement:
     """x^2 (the Frobenius map, GF(2)-linear)."""
     return mul(x, x)

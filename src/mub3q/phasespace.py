@@ -8,8 +8,11 @@ partitions the 63 nonzero points into 9 rows that are each, together
 with the origin, a 3-dimensional GF(2) subspace of GF(8)^2.
 
 Twelve trace equations on the seed parameters are necessary and
-sufficient for the internal commutation of all 9 rows; they are checked
-here exactly, and every row can be fitted with a linearized curve
+sufficient for the internal commutation of all 9 rows.  Each is stored
+as the pairs of seed points whose symplectic products it sums, and is
+checked exactly.  A seed is valid iff it satisfies the equations and its
+six points have GF(2) rank 6 (SeedSet.rank; see the solver module for
+the proof).  Every row can be fitted with a linearized curve
 relation L(b) = M(a) with L(b) = l0*b + l1*b^2 + l2*b^4 and
 M(a) = m0*a + m1*a^2 + m2*a^4.
 """
@@ -32,27 +35,19 @@ PARAM_NAMES: tuple[str, ...] = (
     "a21", "b21", "a22", "b22", "a23", "b23",
 )
 
-# The twelve seed equations, each tr(sum of products) = tr(sum of products).
-# A term (p, q) stands for the product of parameters p and q.
-TWELVE_EQUATIONS: tuple[tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]], ...] = (
-    ((("a11", "b12"),), (("a12", "b11"),)),
-    ((("a11", "b13"),), (("a13", "b11"),)),
-    ((("a12", "b13"),), (("a13", "b12"),)),
-    ((("a21", "b22"),), (("a22", "b21"),)),
-    ((("a21", "b23"),), (("a23", "b21"),)),
-    ((("a22", "b23"),), (("a23", "b22"),)),
-    ((("a21", "b12"), ("a11", "b22")), (("a22", "b11"), ("a12", "b21"))),
-    ((("a21", "b13"), ("a11", "b23")), (("a23", "b11"), ("a13", "b21"))),
-    ((("a22", "b13"), ("a12", "b23")), (("a23", "b12"), ("a13", "b22"))),
-    ((("a21", "b13"), ("a12", "b22")), (("a22", "b12"), ("a13", "b21"))),
-    (
-        (("a21", "b11"), ("a21", "b12"), ("a12", "b23")),
-        (("a23", "b12"), ("a11", "b21"), ("a12", "b21")),
-    ),
-    (
-        (("a22", "b11"), ("a22", "b12"), ("a13", "b23")),
-        (("a23", "b13"), ("a11", "b22"), ("a12", "b22")),
-    ),
+# The twelve seed equations.  Number the seed points p1-p3 (row 1) and
+# p4-p6 (row 2).  Equation k says that the symplectic products
+# omega(p_i, p_j) = tr(a_i*b_j) + tr(a_j*b_i) over its pairs (i, j) sum to
+# 0 in GF(2); omega(p, q) = 0 iff p and q commute.  Expanded into a*b
+# terms, these are the paper's twelve trace equations.
+TWELVE_EQUATIONS: tuple[tuple[tuple[int, int], ...], ...] = (
+    ((1, 2),), ((1, 3),), ((2, 3),), ((4, 5),), ((4, 6),), ((5, 6),),
+    ((1, 5), (2, 4)),
+    ((1, 6), (3, 4)),
+    ((2, 6), (3, 5)),
+    ((2, 5), (3, 4)),
+    ((1, 4), (2, 4), (2, 6)),
+    ((1, 5), (2, 5), (3, 6)),
 )
 
 
@@ -136,6 +131,10 @@ class SeedSet:
                 errors.append(f"row {r} seed points are GF(2)-dependent")
         return errors
 
+    def rank(self) -> int:
+        """GF(2) rank of the six seed points, packed as a << 3 | b."""
+        return len(greedy_basis([a << 3 | b for a, b in self.points()]))
+
     def is_well_formed(self) -> bool:
         return not self.well_formedness_errors()
 
@@ -158,22 +157,14 @@ class SeedSet:
         return cls(row1=rows[0], row2=rows[1])
 
 
-def _eval_side(side, env) -> int:
-    acc = 0
-    for p, q in side:
-        acc ^= mul(env[p], env[q])
-    return acc
-
-
-def equation_holds(eq, env) -> bool:
-    lhs, rhs = eq
-    return trace(_eval_side(lhs, env)) == trace(_eval_side(rhs, env))
-
-
 def failing_equations(seed: SeedSet) -> list[int]:
-    """1-based indices of the seed equations that fail."""
-    env = seed.params()
-    return [i for i, eq in enumerate(TWELVE_EQUATIONS, start=1) if not equation_holds(eq, env)]
+    """1-based indices of the seed equations that fail: those with an odd
+    number of non-commuting pairs."""
+    pts = seed.points()
+    return [
+        k for k, pairs in enumerate(TWELVE_EQUATIONS, start=1)
+        if sum(not commutes(pts[i - 1], pts[j - 1]) for i, j in pairs) % 2
+    ]
 
 
 def check_twelve_equations(seed: SeedSet) -> bool:
@@ -195,7 +186,9 @@ class StriationTable:
 
     @classmethod
     def from_json(cls, obj) -> "StriationTable":
-        if not isinstance(obj, list) or len(obj) != 9 or any(len(r) != 7 for r in obj):
+        if not isinstance(obj, list) or len(obj) != 9 or any(
+            not isinstance(r, list) or len(r) != 7 for r in obj
+        ):
             raise ValueError("a table must be a 9x7 array of points")
         return cls(rows=tuple(tuple(point_from_json(p) for p in row) for row in obj))
 
@@ -324,10 +317,9 @@ class CurveRelation:
     def from_json(cls, obj) -> "CurveRelation":
         if not isinstance(obj, dict) or set(obj) != {"l", "m"}:
             raise ValueError('a curve relation must be {"l": [...], "m": [...]}')
-        l = tuple(gf8.from_token(t) for t in obj["l"])
-        m = tuple(gf8.from_token(t) for t in obj["m"])
-        if len(l) != 3 or len(m) != 3:
-            raise ValueError("curve coefficient triples must have length 3")
+        if any(not isinstance(obj[k], list) or len(obj[k]) != 3 for k in ("l", "m")):
+            raise ValueError("curve coefficients must be arrays of three tokens")
+        l, m = (tuple(map(gf8.from_token, obj[k])) for k in ("l", "m"))
         return cls(lcoef=l, mcoef=m)
 
 

@@ -293,7 +293,7 @@ def system_solutions(system, unknowns: tuple[str, ...]) -> list[tuple[int, ...]]
     env = {
         name: elems[(idx // 8 ** (n - 1 - k)) % 8] for k, name in enumerate(unknowns)
     }
-    mul_t = np.array([[gf8.mul(x, y) for y in range(8)] for x in range(8)], dtype=np.uint8)
+    mul_t = np.array(gf8.MUL, dtype=np.uint8)
     tr_t = np.array(gf8.TRACE, dtype=np.uint8)
 
     def side_bits(side):

@@ -2,12 +2,13 @@
 
 Four fixing schemes are supported, one per number of coordinate axes
 appearing in the striation table (three, two, one, none), plus a generic
-partial-assignment solver.  Each term of the twelve equations is one `a`
-parameter times one `b` parameter, so the equations are bilinear: once
-the free parameters on one side are fixed, the bits of the other side's
-free parameters satisfy 12 GF(2)-linear equations.  The solver sweeps
-the side with fewer free parameters over GF(8) and solves the linear
-system at each sweep point, which lists every solution and no others.
+partial-assignment solver.  Each pair (i, j) of an equation expands to
+two terms, tr(a_i*b_j) and tr(a_j*b_i), so the equations are bilinear:
+once the free parameters on one side are fixed, the bits of the other
+side's free parameters satisfy 12 GF(2)-linear equations.  The solver
+sweeps the side with fewer free parameters over GF(8) and solves the
+linear system at each sweep point, which lists every solution and no
+others.
 
 Solutions are returned in a fixed order: free parameters are sorted in
 canonical parameter order, each by the element display order, so the
@@ -22,9 +23,9 @@ nonzero vectors once each; so the 63 points are distinct and nonzero,
 each row plus the origin a 3-dimensional subspace and the 9 rows a
 partition, iff the seed points are independent.  The twelve equations
 are the row-commutation conditions, and every solution satisfies them.
-Validity is therefore one rank test per solution; solution_is_valid adds
-the equations for arbitrary seeds, and phasespace.validate_table stays
-the general check for tables given as input.
+Validity is therefore one rank test per solution (SeedSet.rank);
+solution_is_valid and the CLI add the equations for arbitrary seeds, and
+phasespace.validate_table stays the general check for tables as input.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ SCENARIO_KINDS = tuple(SCHEMES)
 MAX_FREE_DEFAULT = 6  # 8^6 assignments; anything larger needs allow_large
 
 MAX_SOLUTIONS = 8**7  # output ceiling, whatever allow_large says
-
-# Every term of the twelve equations is an `a` parameter times a `b` one,
-# so fixing one side leaves the equations linear in the other.
-assert all(p[0] == "a" and q[0] == "b" for eq in TWELVE_EQUATIONS for side in eq for p, q in side)
 
 # Bit j of _TRACE_FORM[c] is tr(c * 2^j), so tr(c*u) = sum_j u_j * tr(c * 2^j)
 # is the parity of _TRACE_FORM[c] & u.
@@ -202,20 +199,23 @@ def _solved_fixings(fixed: dict[str, int], free: list[str]):
     free_b = [n for n in free if n[0] == "b"]
     swept, unknown = (free_a, free_b) if len(free_a) <= len(free_b) else (free_b, free_a)
     shift = {n: 3 * i for i, n in enumerate(unknown)}
-    # tr(lhs) = tr(rhs) is tr(lhs + rhs) = 0: the terms with an unknown
-    # factor must sum to the trace of the fully known ones.  Per equation:
-    # (name of the known factor, bit shift of the unknown) for each term
-    # with an unknown factor, and the fully known terms.
+    # The terms tr(a_i*b_j) + tr(a_j*b_i) of an equation's pairs sum to 0:
+    # those with an unknown factor must sum to the trace of the fully
+    # known ones.  Per equation: (name of the known factor, bit shift of
+    # the unknown) for each term with an unknown factor, and the fully
+    # known terms.
     plan = []
-    for lhs, rhs in TWELVE_EQUATIONS:
+    for pairs in TWELVE_EQUATIONS:
         linear, constant = [], []
-        for p, q in lhs + rhs:
-            if p in shift:
-                linear.append((q, shift[p]))
-            elif q in shift:
-                linear.append((p, shift[q]))
-            else:
-                constant.append((p, q))
+        for i, j in pairs:
+            for u, v in ((i, j), (j, i)):
+                p, q = PARAM_NAMES[2 * u - 2], PARAM_NAMES[2 * v - 1]  # a_u, b_v
+                if p in shift:
+                    linear.append((q, shift[p]))
+                elif q in shift:
+                    linear.append((p, shift[q]))
+                else:
+                    constant.append((p, q))
         plan.append((linear, constant))
     env = dict(fixed)
     for values in product(gf8.ELEMENTS, repeat=len(swept)):
@@ -279,16 +279,11 @@ def enumerate_assignments(
     return [{**fixed, **dict(zip(free, values))} for values in solutions]
 
 
-def _independent(seed: SeedSet) -> bool:
-    """The six seed points, packed as a << 3 | b, are GF(2)-independent."""
-    return len(phasespace.greedy_basis([a << 3 | b for a, b in seed.points()])) == 6
-
-
 def solution_is_valid(seed: SeedSet) -> bool:
     """Well-formed seed whose table passes every validation flag, decided
     by the rule of the module docstring: the seed points are independent
     and the twelve equations hold."""
-    return _independent(seed) and phasespace.check_twelve_equations(seed)
+    return seed.rank() == 6 and phasespace.check_twelve_equations(seed)
 
 
 def _package(assignments, free_names) -> list[Solution]:
@@ -301,7 +296,7 @@ def _package(assignments, free_names) -> list[Solution]:
             row2=((p["a21"], p["b21"]), (p["a22"], p["b22"]), (p["a23"], p["b23"])),
         )
         free = tuple((n, p[n]) for n in free_names)
-        out.append(Solution(seed=seed, free=free, valid=_independent(seed)))
+        out.append(Solution(seed=seed, free=free, valid=seed.rank() == 6))
     return out
 
 
@@ -321,9 +316,7 @@ def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Sol
         for l3 in gf8.ELEMENTS:
             seed = SeedSet.from_params(_axes_seed_params(fixed["l1"], fixed["l2"], l3))
             if phasespace.check_twelve_equations(seed):
-                out.append(
-                    Solution(seed=seed, free=(("l3", l3),), valid=_independent(seed))
-                )
+                out.append(Solution(seed=seed, free=(("l3", l3),), valid=seed.rank() == 6))
         return out
     assignments = enumerate_assignments(scenario.pinned(), allow_large=allow_large)
     return _package(assignments, scenario.free_names())

@@ -4,6 +4,32 @@ from mub3q import gf8, phasespace, reference
 from mub3q.pauli import PauliOp, commutes_op, pauli_to_point, point_to_pauli
 
 
+# The twelve seed equations as printed in the paper, each
+# tr(sum of products) = tr(sum of products); a term (p, q) stands for the
+# product of parameters p and q.  This transcription is the tests' oracle
+# for the pair encoding in phasespace.TWELVE_EQUATIONS.
+PRINTED_EQUATIONS = (
+    ((("a11", "b12"),), (("a12", "b11"),)),
+    ((("a11", "b13"),), (("a13", "b11"),)),
+    ((("a12", "b13"),), (("a13", "b12"),)),
+    ((("a21", "b22"),), (("a22", "b21"),)),
+    ((("a21", "b23"),), (("a23", "b21"),)),
+    ((("a22", "b23"),), (("a23", "b22"),)),
+    ((("a21", "b12"), ("a11", "b22")), (("a22", "b11"), ("a12", "b21"))),
+    ((("a21", "b13"), ("a11", "b23")), (("a23", "b11"), ("a13", "b21"))),
+    ((("a22", "b13"), ("a12", "b23")), (("a23", "b12"), ("a13", "b22"))),
+    ((("a21", "b13"), ("a12", "b22")), (("a22", "b12"), ("a13", "b21"))),
+    (
+        (("a21", "b11"), ("a21", "b12"), ("a12", "b23")),
+        (("a23", "b12"), ("a11", "b21"), ("a12", "b21")),
+    ),
+    (
+        (("a22", "b11"), ("a22", "b12"), ("a13", "b23")),
+        (("a23", "b13"), ("a11", "b22"), ("a12", "b22")),
+    ),
+)
+
+
 def tk(token: str) -> int:
     return gf8.from_token(token)
 

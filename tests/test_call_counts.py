@@ -68,6 +68,19 @@ def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypa
     assert counts == {"greedy_basis": 368}
 
 
+@pytest.mark.parametrize("command", ["table", "verify", "classify"])
+def test_valid_seed_is_checked_by_equations_and_rank_only(monkeypatch, capsys, command):
+    counts = _counted(monkeypatch, (
+        (phasespace, "validate_table"),
+        (phasespace, "failing_equations"),
+        (phasespace.SeedSet, "well_formedness_errors"),
+        (phasespace.SeedSet, "rank"),
+    ))
+    assert cli.main([command, *SEED_M3]) == 0
+    capsys.readouterr()
+    assert counts == {"failing_equations": 1, "rank": 1}
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert cli.main(THREE_AXES) == 0  # builds the parser if no test has yet
     counts = _counted(monkeypatch, ((argparse.ArgumentParser, "add_argument"),))

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mub3q import cli, gf8, solver
-from mub3q.phasespace import PARAM_NAMES
+from mub3q.phasespace import PARAM_NAMES, build_table, failing_equations, validate_table
 
-from conftest import symplectic_image
+from conftest import seed_from_tokens, symplectic_image
 
 THREE_AXES = ["solve", "--scenario", "three-axes", "--l1", "m2", "--l2", "m6"]
 SEED_M3 = [
@@ -258,6 +258,52 @@ def test_table_rejects_bad_seed(capsys):
     code, _, err = run_cli(["table", *bad], capsys)
     assert code == 1
     assert "equation 11 of 12" in err
+
+
+_AXIS_B = (("0", "m2"), ("0", "m6"), ("0", "m3"))  # row 1 of the three-axes seed
+_AXIS_A = (("m2", "0"), ("m6", "0"), ("m3", "0"))  # its row 2
+_DEPENDENT = (("0", "m2"), ("0", "m6"), ("0", "1"))  # m2 + m6 = 1
+_DEPENDENT_A = (("m2", "0"), ("m6", "0"), ("1", "0"))
+
+
+def _seed_flags(seed) -> list[str]:
+    return [w for name, v in seed.params().items() for w in (f"--{name}", gf8.to_token(v))]
+
+
+# A seed that satisfies the equations has rank 6 or at most 3
+# (test_phasespace.py::test_forms_satisfying_the_equations_are_nondegenerate),
+# so these cover every rank a seed passing the equations can have.
+@pytest.mark.parametrize(
+    "row1, row2, rank",
+    [
+        ((("0", "0"),) * 3, (("0", "0"),) * 3, 0),
+        ((("0", "1"),) * 3, (("0", "0"),) * 3, 1),
+        (_DEPENDENT, _DEPENDENT, 2),
+        (_AXIS_B, _AXIS_B, 3),  # duplicate rows: well-formed, rows not disjoint
+        ((("0", "m2"), ("0", "0"), ("0", "m6")), (("0", "m3"), ("0", "m6"), ("0", "m2")), 3),
+        (_AXIS_B, _AXIS_A, 6),
+    ],
+    ids=["zero", "one-point", "dependent-rows", "duplicate-rows", "origin-in-row", "three-axes"],
+)
+def test_table_accepts_exactly_the_valid_seeds(row1, row2, rank, capsys):
+    seed = seed_from_tokens(row1, row2)
+    assert seed.rank() == rank and failing_equations(seed) == []
+    valid = seed.is_well_formed() and validate_table(build_table(seed, check_seed=False)).valid
+    code, out, err = run_cli(["table", *_seed_flags(seed)], capsys)
+    assert (code == 0) == valid == (rank == 6)
+    if not valid:
+        assert (code, out, err) == (1, "", f"error: seed points are GF(2)-dependent: rank {rank} of 6\n")
+
+
+@pytest.mark.parametrize(
+    "row1, row2, rank, equation",
+    [(_DEPENDENT, _AXIS_A, 5, 8), (_DEPENDENT, _DEPENDENT_A, 4, 10)],
+)
+def test_table_checks_the_equations_before_the_rank(row1, row2, rank, equation, capsys):
+    seed = seed_from_tokens(row1, row2)
+    assert seed.rank() == rank
+    code, out, err = run_cli(["table", *_seed_flags(seed)], capsys)
+    assert (code, out, err) == (1, "", f"error: seed fails equation {equation} of 12\n")
 
 
 def test_table_seed_file(tmp_path, capsys):
@@ -527,8 +573,7 @@ def _complete_args(draw, command) -> list[str]:
     kinds = ["seed"] if command in ("table", "verify", "classify") else ["seed", *solver.SCENARIO_KINDS]
     kind = draw(st.sampled_from(kinds))
     if kind == "seed":
-        seed = symplectic_image(draw(st.lists(st.integers(1, 63), min_size=1, max_size=24)))
-        return [w for name, v in seed.params().items() for w in (f"--{name}", gf8.to_token(v))]
+        return _seed_flags(symplectic_image(draw(st.lists(st.integers(1, 63), min_size=1, max_size=24))))
     names = solver.SCHEMES[kind].fixes
     if names is None:
         pairs = [f"{draw(_NAMES)}={draw(_TOKENS)}" for _ in range(draw(st.integers(6, 7)))]

@@ -10,6 +10,7 @@ from mub3q.phasespace import (
     CurveRelation,
     InvalidSeedError,
     InvalidTableError,
+    TWELVE_EQUATIONS,
     SeedSet,
     StriationTable,
     build_table,
@@ -18,11 +19,12 @@ from mub3q.phasespace import (
     commutes,
     failing_equations,
     fit_curve,
+    greedy_basis,
     render_grid,
     validate_table,
 )
 
-from conftest import seed_from_tokens, tk
+from conftest import PRINTED_EQUATIONS, seed_from_tokens, tk
 
 ALL_POINTS = [(a, b) for a in range(8) for b in range(8)]
 
@@ -133,6 +135,9 @@ def test_build_table_wraparound():
 def test_table_json_round_trip():
     table = build_table(TWO_AXES_SEED)
     assert StriationTable.from_json(table.to_json()) == table
+    for bad in ([0] * 9, [["0"] * 7] * 9, ["0123456"] * 9, [[]] * 9, None):
+        with pytest.raises(ValueError):
+            StriationTable.from_json(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +169,82 @@ def test_twelve_equations_perturbed_seed_fails():
     failing = failing_equations(bad)
     assert failing
     assert not check_twelve_equations(bad)
+
+
+# The fifteen symplectic products omega(p_i, p_j), i < j, of the seed points.
+PAIRS = list(combinations(range(1, 7), 2))
+
+
+def _param(var: str, i: int) -> str:
+    """Name of coordinate `var` of seed point p_i: p1-p3 are row 1, p4-p6 row 2."""
+    return f"{var}{1 + (i - 1) // 3}{1 + (i - 1) % 3}"
+
+
+def _pair_mask(u: int, v: int) -> int:
+    """omega(u, v) for coefficient vectors u, v in GF(2)^6 (bit i - 1 selects
+    p_i), as a mask over PAIRS.  omega is bilinear with omega(p, p) = 0, so
+    omega(p_i, p_j) enters with coefficient u_i*v_j + u_j*v_i."""
+    mask = 0
+    for bit, (i, j) in enumerate(PAIRS):
+        if ((u >> (i - 1) & v >> (j - 1)) ^ (u >> (j - 1) & v >> (i - 1))) & 1:
+            mask |= 1 << bit
+    return mask
+
+
+def _equation_masks() -> list[int]:
+    masks = []
+    for pairs in TWELVE_EQUATIONS:
+        mask = 0
+        for pair in pairs:
+            mask ^= 1 << PAIRS.index(pair)
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_pair_encoding_expands_to_the_printed_terms(k):
+    # omega(p_i, p_j) = tr(a_i*b_j) + tr(a_j*b_i): two terms per pair
+    terms = [
+        (_param("a", u), _param("b", v))
+        for i, j in TWELVE_EQUATIONS[k - 1] for u, v in ((i, j), (j, i))
+    ]
+    lhs, rhs = PRINTED_EQUATIONS[k - 1]
+    assert sorted(terms) == sorted(lhs + rhs)
+
+
+def test_equations_span_the_row_commutation_conditions():
+    # build_table on the unit vectors of GF(2)^6 gives the coefficient
+    # vector of every table position in the six seed points
+    unit = [(1 << k, 0) for k in range(6)]
+    table = build_table(SeedSet(tuple(unit[:3]), tuple(unit[3:])), check_seed=False)
+    rows = [[a for a, _ in row] for row in table.rows]
+    assert sorted(u for row in rows for u in row) == list(range(1, 64))
+    first_three = [_pair_mask(u, v) for row in rows for u, v in combinations(row[:3], 2)]
+    in_row = [_pair_mask(u, v) for row in rows for u, v in combinations(row, 2)]
+    equations = _equation_masks()
+    assert (len(first_three), len(in_row)) == (27, 189)
+    # the 12 equations are independent and span every in-row condition
+    ranks = [len(greedy_basis(m)) for m in (equations, first_three, in_row, equations + in_row)]
+    assert ranks == [12, 12, 12, 12]
+
+
+def test_forms_satisfying_the_equations_are_nondegenerate():
+    # An alternating form on GF(2)^6 is a mask over PAIRS; it satisfies an
+    # equation when it is 1 on an even number of the equation's pairs.
+    # The 2^(15-12) solutions are 0 and 7 nondegenerate forms.  A seed's
+    # form omega(p_i, p_j) has the kernel of the seed map in its radical,
+    # so a seed satisfying the equations has rank 6 or spans a commuting
+    # subspace, of rank at most 3.
+    equations = _equation_masks()
+    forms = [f for f in range(1 << 15) if not any(bin(f & e).count("1") % 2 for e in equations)]
+    assert len(forms) == 8 and forms[0] == 0
+    for f in forms[1:]:
+        gram = [0] * 6
+        for bit, (i, j) in enumerate(PAIRS):
+            if f >> bit & 1:
+                gram[i - 1] |= 1 << (j - 1)
+                gram[j - 1] |= 1 << (i - 1)
+        assert len(greedy_basis(gram)) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +376,11 @@ def test_fit_rejects_non_spanning_row():
 def test_curve_relation_json_round_trip():
     rel = CurveRelation(lcoef=(tk("m"), 1, 0), mcoef=(tk("m2"), tk("m2"), 0))
     assert CurveRelation.from_json(rel.to_json()) == rel
+    m = ["m2", "m2", "0"]
+    for bad in ({"l": 5, "m": m}, {"l": "m10", "m": m}, {"l": ["m", "1"], "m": m},
+                {"l": ["m", "1", "x"], "m": m}, {"l": m}, [m, m]):
+        with pytest.raises(ValueError):
+            CurveRelation.from_json(bad)
     assert rel.text() == "m*b + b^2 = m2*a + m2*a^2"
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mub3q import gf8, reference
-from mub3q.phasespace import PARAM_NAMES, TWELVE_EQUATIONS, SeedSet, build_table, check_all_striation_conditions, check_twelve_equations, validate_table
+from mub3q.phasespace import PARAM_NAMES, SeedSet, build_table, check_all_striation_conditions, check_twelve_equations, validate_table
 from mub3q.solver import (
     CostGuardError,
     InvalidInputError,
@@ -26,7 +26,7 @@ from mub3q.solver import (
     solution_is_valid,
 )
 
-from conftest import tk
+from conftest import PRINTED_EQUATIONS, tk
 
 NONZERO = gf8.ELEMENTS[1:]
 
@@ -324,15 +324,16 @@ def test_scenario_validation():
 # bilinear solver vs a numpy brute force over every candidate
 # ---------------------------------------------------------------------------
 
-_MUL = np.array([[gf8.mul(x, y) for y in range(8)] for x in range(8)], dtype=np.uint8)
+_MUL = np.array(gf8.MUL, dtype=np.uint8)
 _TR = np.array(gf8.TRACE, dtype=np.uint8)
 _ELEMS = np.array(gf8.ELEMENTS, dtype=np.uint8)
 
 
 def _eval_equations_mask(env):
-    """Boolean mask of assignments satisfying all twelve equations."""
+    """Boolean mask of assignments satisfying all twelve equations, read
+    from their printed form."""
     mask = None
-    for lhs, rhs in TWELVE_EQUATIONS:
+    for lhs, rhs in PRINTED_EQUATIONS:
         sides = []
         for side in (lhs, rhs):
             acc = None
