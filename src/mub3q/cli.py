@@ -114,17 +114,6 @@ def _load_seed(args) -> SeedSet:
     return SeedSet.from_params(given)
 
 
-def _checked_table(seed: SeedSet) -> phasespace.StriationTable:
-    """The table of a valid seed, by the solver's rule: equations, then rank."""
-    failing = phasespace.failing_equations(seed)
-    if failing:
-        raise DomainError(f"seed fails equation {failing[0]} of 12")
-    rank = seed.rank()
-    if rank < 6:
-        raise DomainError(f"seed points are GF(2)-dependent: rank {rank} of 6")
-    return phasespace.build_table(seed, check_seed=False)
-
-
 def _print_solutions(sols: list[solver.Solution], pretty: bool) -> None:
     if not pretty:
         # json_text gives _json_dumps' bytes of to_json(); writing one
@@ -186,7 +175,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     seed = _load_seed(args)
-    table = _checked_table(seed)
+    table = phasespace.build_table(seed)
     want_grid = args.render
     want_curves = args.curves
     if args.pretty:
@@ -210,7 +199,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = _load_seed(args)
-    table = _checked_table(seed)
+    table = phasespace.build_table(seed)
     report = mub.verify_mub_set(table)
     if args.pretty:
         print(f"orthonormality defect: {report.orthonormality_defect:.12g}")
@@ -235,7 +224,7 @@ def _cmd_classify(args) -> int:
     # By the rank rule, the rows of a checked table are disjoint commuting
     # subgroups that partition the 63 points, so the nine classes form a
     # complete MUB set and their exact labels need no basis.
-    labels = mub.table_labels(_checked_table(seed))
+    labels = mub.table_labels(phasespace.build_table(seed))
     structure = mub.structure_of(labels)
     if args.pretty:
         for i, label in enumerate(labels, start=1):

@@ -81,9 +81,6 @@ class PauliOp:
             out[c ^ x, c] = _POWERS_OF_I[(base + 2 * (c & z).bit_count()) % 4]
         return out
 
-    def is_identity(self) -> bool:
-        return self.x == (0, 0, 0) and self.z == (0, 0, 0)
-
     def __mul__(self, other: "PauliOp") -> "PauliOp":
         return multiply(self, other)
 

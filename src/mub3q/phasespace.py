@@ -12,9 +12,10 @@ sufficient for the internal commutation of all 9 rows.  Each is stored
 as the pairs of seed points whose symplectic products it sums, and is
 checked exactly.  A seed is valid iff it satisfies the equations and its
 six points have GF(2) rank 6 (SeedSet.rank; see the solver module for
-the proof).  Every row can be fitted with a linearized curve
-relation L(b) = M(a) with L(b) = l0*b + l1*b^2 + l2*b^4 and
-M(a) = m0*a + m1*a^2 + m2*a^4.
+the proof); build_table checks it by default.  Each row of a valid
+table spans a Lagrangian subspace of GF(8)^2 under the symplectic form
+omega(p, q) = tr(a1*b2 + a2*b1), so fit_curve gives it an exact curve
+relation l0*b + l1*b^2 + l2*b^4 = m0*a + m1*a^2 + m2*a^4.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import combinations, product
 from operator import xor
 
 from . import gf8
-from .gf8 import mul, trace
+from .gf8 import MUL, TRACE, mul, trace
 
 Point = tuple[int, int]
 ORIGIN: Point = (0, 0)
@@ -52,7 +53,7 @@ TWELVE_EQUATIONS: tuple[tuple[tuple[int, int], ...], ...] = (
 
 
 class InvalidSeedError(ValueError):
-    """Raised when a seed violates the well-formedness invariants."""
+    """Raised when a seed fails an equation or its points have rank below 6."""
 
 
 class InvalidTableError(ValueError):
@@ -198,12 +199,16 @@ def build_table(seed: SeedSet, *, check_seed: bool = True) -> StriationTable:
 
     Rows 1-2 continue with p_c = p_{c-2} + p_{c-3} for c = 4..7; rows
     3..9 are p^{(r)}_c = p^{(2)}_c + p^{(1)}_{c+r-3} with the row-1
-    column index wrapped back into 1..7 modulo 7.
+    column index wrapped back into 1..7 modulo 7.  By default the seed
+    must be valid: the twelve equations first, then rank 6.
     """
     if check_seed:
-        errors = seed.well_formedness_errors()
-        if errors:
-            raise InvalidSeedError("; ".join(errors))
+        failing = failing_equations(seed)
+        if failing:
+            raise InvalidSeedError(f"seed fails equation {failing[0]} of 12")
+        rank = seed.rank()
+        if rank < 6:
+            raise InvalidSeedError(f"seed points are GF(2)-dependent: rank {rank} of 6")
     rows = []
     for base in (seed.row1, seed.row2):
         pts = list(base)
@@ -325,114 +330,47 @@ class CurveRelation:
 
 def linearized_eval(coeffs: tuple[int, int, int], x: int) -> int:
     """c0*x + c1*x^2 + c2*x^4 in GF(8)."""
-    x2 = mul(x, x)
-    x4 = mul(x2, x2)
-    return mul(coeffs[0], x) ^ mul(coeffs[1], x2) ^ mul(coeffs[2], x4)
+    x2 = MUL[x][x]
+    return MUL[coeffs[0]][x] ^ MUL[coeffs[1]][x2] ^ MUL[coeffs[2]][MUL[x2][x2]]
 
 
-def _solve_gf2(rows: list[int], rhs: list[int], nvars: int):
-    """Solve a GF(2) linear system given as bitmask rows.
-
-    Returns (particular solution bitmask or None, nullspace basis list).
-    """
-    pivots: dict[int, tuple[int, int]] = {}  # pivot column -> mutually reduced (row, bit)
-    for r, b in zip(rows, rhs):
-        for col, (pr, pb) in pivots.items():
-            if r >> col & 1:
-                r ^= pr
-                b ^= pb
-        if r == 0:
-            if b:
-                return None, []
-            continue
-        col = r.bit_length() - 1
-        for c2, (pr, pb) in list(pivots.items()):
-            if pr >> col & 1:
-                pivots[c2] = (pr ^ r, pb ^ b)
-        pivots[col] = (r, b)
-    particular = 0
-    for c, (_, b) in pivots.items():
-        if b:
-            particular |= 1 << c
-    basis = []
-    for free in range(nvars):
-        if free in pivots:
-            continue
-        vec = 1 << free
-        for c, (r, _) in pivots.items():
-            if r >> free & 1:
-                vec |= 1 << c
-        basis.append(vec)
-    return particular, basis
+def _dual_basis(xs) -> list[int] | None:
+    """The trace-dual basis t of xs, with tr(t_i*x_j) = [i == j]: t_i is
+    the element whose traces against the xs are the unit vector i.  None
+    if the xs are GF(2)-dependent, for then some unit vector is missed."""
+    traces = {tuple(TRACE[MUL[t][x]] for x in xs): t for t in gf8.ELEMENTS}
+    dual = [traces.get(unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return None if None in dual else dual
 
 
-def _coeffs_from_bits(u: int) -> tuple[int, int, int]:
-    return (u & 7, (u >> 3) & 7, (u >> 6) & 7)
-
-
-def _linear_fit_system(inputs: list[int], targets: list[int]):
-    """GF(2) system for coefficients (c0,c1,c2) with sum c_k x^(2^k) = t."""
-    rows, rhs = [], []
-    for x, t in zip(inputs, targets):
-        powers = [x, mul(x, x), mul(mul(x, x), mul(x, x))]
-        cols = [mul(e, pw) for k, pw in enumerate(powers) for e in (1, 2, 4)]
-        # unknown bit index 3k+j multiplies basis element 2^j times x^(2^k)
-        for bit in range(3):
-            row = 0
-            for idx, contrib in enumerate(cols):
-                if contrib >> bit & 1:
-                    row |= 1 << idx
-            rows.append(row)
-            rhs.append(t >> bit & 1)
-    return rows, rhs
-
-
-def _solve_linearized(inputs: list[int], targets: list[int]):
-    """All coefficient triples c with sum c_k x^(2^k) = t at every (x, t)."""
-    rows, rhs = _linear_fit_system(inputs, targets)
-    particular, basis = _solve_gf2(rows, rhs, 9)
-    if particular is None:
-        return []
-    sols = {particular}
-    for vec in basis:
-        sols |= {s ^ vec for s in sols}
-    key = lambda u: tuple(gf8.order_key(c) for c in _coeffs_from_bits(u))
-    return [_coeffs_from_bits(u) for u in sorted(sols, key=key)]
+def _frobenius_sums(t, xs) -> tuple[int, int, int]:
+    """(sum t_i*x_i^(2^k) for k = 0, 1, 2)."""
+    sums = []
+    for _ in range(3):
+        sums.append(MUL[t[0]][xs[0]] ^ MUL[t[1]][xs[1]] ^ MUL[t[2]][xs[2]])
+        xs = [MUL[x][x] for x in xs]
+    return tuple(sums)
 
 
 def fit_curve(row: tuple[Point, ...]) -> CurveRelation:
-    """Fit a nonzero linearized relation to a subgroup row.
+    """The linearized relation L(b) = M(a) whose zero set is the span W
+    of a commuting row of rank 3.
 
-    Preference order: explicit b = M(a) when every point has a distinct
-    first coordinate; then a = L(b) when every second coordinate is
-    distinct; otherwise the implicit relation with the smallest lcoef
-    (then mcoef) under the element display order.
+    W is Lagrangian (W = W-perp): for generators g_i = (a_i, b_i) of W and
+    a GF(2) basis t of GF(8), p is in W iff sum t_i*omega(g_i, p) = 0.  As
+    tr(c*x) = c*x + c^2*x^2 + c^4*x^4, l_k = sum t_i*a_i^(2^k) and
+    m_k = sum t_i*b_i^(2^k).  t is the trace-dual basis of the a_i if they
+    are independent (L(b) = b: the unique b = M(a)), else of the b_i if
+    they are (the unique a = L(b)), else (1, mu, mu^2).
     """
-    pts = (ORIGIN,) + tuple(row)
     gens = greedy_basis(row, add_points, ORIGIN)[:3]
     if len(gens) < 3:
         raise InvalidTableError("row does not span a 3-dimensional subspace")
-    relation = None
-    if len({p[0] for p in pts}) == 8:
-        fits = _solve_linearized([p[0] for p in gens], [p[1] for p in gens])
-        if fits:
-            relation = CurveRelation(lcoef=(1, 0, 0), mcoef=fits[0])
-    if relation is None and len({p[1] for p in pts}) == 8:
-        fits = _solve_linearized([p[1] for p in gens], [p[0] for p in gens])
-        if fits:
-            relation = CurveRelation(lcoef=fits[0], mcoef=(1, 0, 0))
-    if relation is None:
-        for l in product(gf8.ELEMENTS, repeat=3):
-            targets = [linearized_eval(l, p[1]) for p in gens]
-            fits = _solve_linearized([p[0] for p in gens], targets)
-            for m in fits:
-                if l != (0, 0, 0) or m != (0, 0, 0):
-                    relation = CurveRelation(lcoef=l, mcoef=m)
-                    break
-            if relation is not None:
-                break
-    if relation is None or not all(relation.holds_at(p) for p in pts):
-        raise InvalidTableError("no linearized relation fits the row; not a subgroup row?")
+    a, b = zip(*gens)
+    t = _dual_basis(a) or _dual_basis(b) or gf8.EXP[:3]
+    relation = CurveRelation(lcoef=_frobenius_sums(t, a), mcoef=_frobenius_sums(t, b))
+    if not all(relation.holds_at(p) for p in row):
+        raise InvalidTableError("row points do not commute")
     return relation
 
 

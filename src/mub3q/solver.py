@@ -24,7 +24,7 @@ each row plus the origin a 3-dimensional subspace and the 9 rows a
 partition, iff the seed points are independent.  The twelve equations
 are the row-commutation conditions, and every solution satisfies them.
 Validity is therefore one rank test per solution (SeedSet.rank);
-solution_is_valid and the CLI add the equations for arbitrary seeds, and
+solution_is_valid and build_table add the equations for arbitrary seeds, and
 phasespace.validate_table stays the general check for tables as input.
 """
 
@@ -184,6 +184,42 @@ class Solution:
         return f'{{"free":{{{free}}},"seed":{{"row1":[{row1}],"row2":[{row2}]}},"valid":{valid}}}'
 
 
+def _solve_gf2(rows: list[int], rhs: list[int], nvars: int):
+    """Solve a GF(2) linear system given as bitmask rows.
+
+    Returns (particular solution bitmask or None, nullspace basis list).
+    """
+    pivots: dict[int, tuple[int, int]] = {}  # pivot column -> mutually reduced (row, bit)
+    for r, b in zip(rows, rhs):
+        for col, (pr, pb) in pivots.items():
+            if r >> col & 1:
+                r ^= pr
+                b ^= pb
+        if r == 0:
+            if b:
+                return None, []
+            continue
+        col = r.bit_length() - 1
+        for c2, (pr, pb) in list(pivots.items()):
+            if pr >> col & 1:
+                pivots[c2] = (pr ^ r, pb ^ b)
+        pivots[col] = (r, b)
+    particular = 0
+    for c, (_, b) in pivots.items():
+        if b:
+            particular |= 1 << c
+    basis = []
+    for free in range(nvars):
+        if free in pivots:
+            continue
+        vec = 1 << free
+        for c, (r, _) in pivots.items():
+            if r >> free & 1:
+                vec |= 1 << c
+        basis.append(vec)
+    return particular, basis
+
+
 def _solved_fixings(fixed: dict[str, int], free: list[str]):
     """Solve the twelve equations as GF(2) systems, one per sweep point.
 
@@ -230,7 +266,7 @@ def _solved_fixings(fixed: dict[str, int], free: list[str]):
                 acc ^= gf8.mul(env[p], env[q])
             rows.append(row)
             rhs.append(gf8.TRACE[acc])
-        particular, basis = phasespace._solve_gf2(rows, rhs, 3 * len(unknown))
+        particular, basis = _solve_gf2(rows, rhs, 3 * len(unknown))
         if particular is not None:
             yield dict(zip(swept, values)), unknown, particular, basis
 

@@ -149,11 +149,17 @@ def corpus_argvs() -> list[list[str]]:
         ["classify", *_seed_flags(bad_seed)],
         ["table", *_seed_flags(bad_seed)],
     ]
-    # the two structures no reference table has, in both output formats
+    # the two structures no reference table has, in both output formats;
+    # their tables hold 6 rows on which neither coordinate is a function
+    # of the other, so their curves are implicit relations
     for tokens in (ONE_TRISEPARABLE_SEED, NO_TRISEPARABLE_SEED):
         flags = _seed_flags({n: gf8.from_token(t) for n, t in tokens.items()})
         for command in ("classify", "verify"):
             argvs += [[command, *flags], [command, *flags, "--pretty"]]
+        argvs += [
+            ["table", *flags, "--render", "--curves"],
+            ["table", *flags, "--render", "--curves", "--pretty"],
+        ]
     argvs += [["reproduce-paper"], ["reproduce-paper", "--json"]]
 
     # error paths

@@ -1,5 +1,6 @@
 """Phase-space points, table construction, validation, curve fitting."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -20,6 +21,7 @@ from mub3q.phasespace import (
     failing_equations,
     fit_curve,
     greedy_basis,
+    linearized_eval,
     render_grid,
     validate_table,
 )
@@ -157,9 +159,12 @@ def test_twelve_equations_duplicate_rows_pass_but_table_invalid():
     )
     assert check_twelve_equations(seed)
     assert seed.is_well_formed()
-    report = validate_table(build_table(seed))
+    report = validate_table(build_table(seed, check_seed=False))
     assert not report.rows_disjoint
     assert not report.valid
+    # the default check is the solver's rule: equations, then rank
+    with pytest.raises(InvalidSeedError, match="rank 3 of 6"):
+        build_table(seed)
 
 
 def test_twelve_equations_perturbed_seed_fails():
@@ -350,16 +355,78 @@ def test_fitted_relation_characterizes_function_rows(three_axes_m3_table):
 
 def test_fit_handles_rows_with_both_projections_degenerate():
     # subgroup {0,1} x {0,1,m,m3}: neither coordinate is a function of the
-    # other, and the leading points are dependent, so the implicit branch
-    # and the independent-generator scan are both exercised
+    # other, but (1,0) and (0,1) do not commute, so no linearized relation
+    # has exactly this zero set
     span = sorted(
         {(a, b) for a in (0, 1) for b in (0, 1, tk("m"), tk("m3"))} - {ORIGIN}
     )
-    rel = fit_curve(tuple(span))
-    assert rel.lcoef == (0, 0, 0)
-    assert rel.mcoef == (0, 1, 1)  # 0 = a^2 + a^4, the minimal relation
-    for p in span:
-        assert rel.holds_at(p)
+    with pytest.raises(InvalidTableError):
+        fit_curve(tuple(span))
+    # no-axis row 2 is a commuting subgroup with both projections degenerate
+    row = build_table(NO_AXIS_SEED).rows[1]
+    assert len({a for a, _ in row}) < 7 and len({b for _, b in row}) < 7
+    rel = fit_curve(row)
+    assert rel.lcoef == (tk("m3"), tk("m"), tk("m2"))
+    assert rel.mcoef == (tk("m2"), tk("m5"), tk("m3"))
+    assert {p for p in ALL_POINTS if rel.holds_at(p)} == set(row) | {ORIGIN}
+
+
+@pytest.fixture(scope="module")
+def lagrangian_rows():
+    """The 135 maximal commuting subgroups of GF(8)^2, each as the set of
+    its 7 nonzero points, from the commuting triples that span 3 dimensions."""
+    nonzero = [p for p in ALL_POINTS if p != ORIGIN]
+    rows = set()
+    for triple in combinations(nonzero, 3):
+        if all(commutes(p, q) for p, q in combinations(triple, 2)):
+            span = {ORIGIN}
+            for v in triple:
+                span |= {phasespace.add_points(v, s) for s in span}
+            if len(span) == 8:
+                rows.add(frozenset(span - {ORIGIN}))
+    assert len(rows) == 135
+    return sorted(rows, key=sorted)
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_fit_is_exact_on_every_lagrangian_row(lagrangian_rows, order):
+    # each row in a shuffled order: the zero set of the relation is
+    # exactly the row plus the origin
+    rng = random.Random(order)
+    for span in lagrangian_rows:
+        row = sorted(span)
+        rng.shuffle(row)
+        rel = fit_curve(tuple(row))
+        assert {p for p in ALL_POINTS if rel.holds_at(p)} == span | {ORIGIN}
+
+
+def _explicit_fits(row, x: int) -> list[tuple[int, int, int]]:
+    """Brute force: every coefficient triple c with p[1 - x] = sum c_k*p[x]^(2^k)
+    at every point p of the row."""
+    return [
+        c for c in product(gf8.ELEMENTS, repeat=3)
+        if all(linearized_eval(c, p[x]) == p[1 - x] for p in row)
+    ]
+
+
+def test_fit_equals_the_unique_explicit_relation(lagrangian_rows):
+    identity = (1, 0, 0)
+    explicit = 0
+    for span in lagrangian_rows:
+        row = tuple(sorted(span))
+        if len({a for a, _ in row}) == 7:
+            (m,) = _explicit_fits(row, 0)
+            want = (identity, m)
+        elif len({b for _, b in row}) == 7:
+            (l,) = _explicit_fits(row, 1)
+            want = (l, identity)
+        else:
+            continue
+        explicit += 1
+        for ordered in (row, row[::-1]):
+            rel = fit_curve(ordered)
+            assert (rel.lcoef, rel.mcoef) == want
+    assert explicit == 100
 
 
 def test_fit_rejects_non_spanning_row():

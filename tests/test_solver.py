@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mub3q import gf8, reference
-from mub3q.phasespace import PARAM_NAMES, SeedSet, build_table, check_all_striation_conditions, check_twelve_equations, validate_table
+from mub3q.phasespace import PARAM_NAMES, InvalidSeedError, SeedSet, build_table, check_all_striation_conditions, check_twelve_equations, validate_table
 from mub3q.solver import (
     CostGuardError,
     InvalidInputError,
@@ -453,8 +453,10 @@ def test_validity_rule_rejects_ill_formed_seeds(row1, row2, error):
 def test_validity_rule_rejects_point_shared_by_two_rows():
     seed = SeedSet(row1=_M3_ROW1, row2=((0, tk("m2")),) + _M3_ROW2[1:])
     assert seed.is_well_formed()
-    assert not validate_table(build_table(seed)).rows_disjoint
+    assert not validate_table(build_table(seed, check_seed=False)).rows_disjoint
     assert not solution_is_valid(seed)
+    with pytest.raises(InvalidSeedError):
+        build_table(seed)
 
 
 @pytest.mark.parametrize(
@@ -474,10 +476,12 @@ def test_validity_rule_rejects_point_shared_by_two_rows():
 def test_validity_rule_rejects_non_commuting_partition(row1, row2):
     seed = SeedSet(row1=row1, row2=row2)
     assert seed.is_well_formed()
-    report = validate_table(build_table(seed))
+    report = validate_table(build_table(seed, check_seed=False))
     # rows are disjoint subgroups covering the 63 points, but do not commute
     assert report.first_failure() == "rows-commute"
     assert not solution_is_valid(seed)
+    with pytest.raises(InvalidSeedError, match="seed fails equation"):
+        build_table(seed)
 
 
 # ---------------------------------------------------------------------------
