@@ -8,7 +8,8 @@ multiplication is two table lookups.
 
 Conventions used by the whole package:
   * trace map        tr(x) = x + x^2 + x^4, values in {0, 1}
-  * self-dual basis  (mu^3, mu^5, mu^6), i.e. tr(b_i * b_j) = delta_ij
+  * self-dual basis  (mu^3, mu^5, mu^6), i.e. tr(b_i * b_j) = delta_ij;
+                     SELF_DUAL_MASK[x] holds x's coordinates, 3 bits
   * display order    0 < 1 < mu < mu^2 < ... < mu^6
   * text tokens      "0", "1", "m", "m2", ..., "m6"
 
@@ -98,21 +99,12 @@ def trace(x: FieldElement) -> Bit:
 
 
 SELF_DUAL_BASIS: tuple[int, int, int] = (EXP[3], EXP[5], EXP[6])
-
-
-def self_dual_coords(x: FieldElement) -> tuple[Bit, Bit, Bit]:
-    """Coordinates of x in the self-dual basis: (tr(x*b1), tr(x*b2), tr(x*b3))."""
-    b1, b2, b3 = SELF_DUAL_BASIS
-    return (TRACE[mul(x, b1)], TRACE[mul(x, b2)], TRACE[mul(x, b3)])
-
-
-def from_coords(c: tuple[Bit, Bit, Bit]) -> FieldElement:
-    """Inverse of self_dual_coords: c1*mu^3 + c2*mu^5 + c3*mu^6."""
-    x = 0
-    for bit, base in zip(c, SELF_DUAL_BASIS):
-        if bit:
-            x ^= base
-    return x
+# SELF_DUAL_MASK[x] holds the self-dual coordinates tr(x*mu^3), tr(x*mu^5)
+# and tr(x*mu^6) of x as bits 2, 1 and 0.  It is a bijection, and tr(x*y)
+# is the parity of SELF_DUAL_MASK[x] & SELF_DUAL_MASK[y].
+SELF_DUAL_MASK: tuple[int, ...] = tuple(
+    sum(TRACE[mul(x, b)] << 2 - i for i, b in enumerate(SELF_DUAL_BASIS)) for x in range(8)
+)
 
 
 def order_key(x: FieldElement) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .pauli import OperatorClass, class_from_row
+from .pauli import OperatorClass, class_from_row, commutes_op
 from .phasespace import StriationTable
 
 if TYPE_CHECKING:
@@ -80,13 +80,12 @@ def _group(gens) -> list[tuple[int, int, int]]:
     whose bits are set in t.  The operator maps basis vector e_c to
     i^(e + 2 popcount(c & z)) e_(c ^ x), as in `PauliOp.matrix`."""
     elems = [(0, 0, 0)]
-    for g in gens:
+    for k, g in enumerate(gens):
         if g.phase % 2:
             raise EigenbasisError(f"generator {g.label()} is not Hermitian")
-        x = g.x[0] << 2 | g.x[1] << 1 | g.x[2]
-        z = g.z[0] << 2 | g.z[1] << 1 | g.z[2]
-        if any(((x & z1).bit_count() + (x1 & z).bit_count()) % 2 for x1, z1, _ in elems):
+        if not all(commutes_op(g, h) for h in gens[:k]):
             raise EigenbasisError(f"generator {g.label()} anticommutes with another")
+        x, z = g.x, g.z
         e = g.phase + (x & z).bit_count()
         elems += [
             (x1 ^ x, z1 ^ z, (e1 + e + 2 * (x & z1).bit_count()) % 4)
@@ -149,11 +148,7 @@ def class_label(op_class: OperatorClass) -> str:
     """Exact separability label of a class's eigenbasis: qubit j is pure
     iff the class holds an operator whose X and Z bits are nonzero at
     qubit j only."""
-    pure = set()
-    for op in op_class.ops:
-        support = [j for j in range(3) if op.x[j] or op.z[j]]
-        if len(support) == 1:
-            pure.add(support[0])
+    pure = {op.x | op.z for op in op_class.ops if (op.x | op.z).bit_count() == 1}
     return _label_of_pure_count(len(pure))
 
 

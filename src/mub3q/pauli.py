@@ -1,13 +1,14 @@
 """Three-qubit Pauli operators in binary-symplectic form with exact phases.
 
-An operator is stored as X bits, Z bits (one per qubit, qubit 1 is the
-leftmost tensor factor) and a global phase exponent p with the operator
-equal to i^p times the Hermitian word over {I, X, Y, Z} built per qubit
-from (x, z): (0,0) -> I, (1,0) -> X, (0,1) -> Z, (1,1) -> Y.  With that
-convention every phase-0 operator is Hermitian and squares to identity.
+An operator is stored as a 3-bit X mask, a 3-bit Z mask (bit 2 is qubit
+1, the leftmost tensor factor) and a global phase exponent p with the
+operator equal to i^p times the Hermitian word over {I, X, Y, Z} built
+per qubit from its bits (x, z): (0,0) -> I, (1,0) -> X, (0,1) -> Z,
+(1,1) -> Y.  With that convention every phase-0 operator is Hermitian
+and squares to identity.  Products and commutation are popcounts.
 
-The phase-space map sends a point (a, b) to the operator whose X and Z
-bit patterns are the self-dual-basis coordinates of a and b; under it,
+The phase-space map sends a point (a, b) to the operator with X mask
+SELF_DUAL_MASK[a] and Z mask SELF_DUAL_MASK[b] (`gf8`); under it,
 operator commutation is exactly the trace condition on points.
 
 numpy is imported by `PauliOp.matrix` only; the symplectic algebra
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import gf8
-from .phasespace import ORIGIN, Point, add_points, greedy_basis
+from .gf8 import SELF_DUAL_MASK
+from .phasespace import AnticommutingRowError, Point, row_generators
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,18 +32,14 @@ _PHASE_TOKENS = ("", "+i", "-", "-i")
 _POWERS_OF_I = (1, 1j, -1, -1j)
 
 
-class AnticommutingRowError(ValueError):
-    """A supposed commuting class contains an anticommuting pair."""
-
-
 @dataclass(frozen=True)
 class PauliOp:
-    x: tuple[int, int, int]
-    z: tuple[int, int, int]
+    x: int  # X mask, qubit 1 in bit 2
+    z: int  # Z mask
     phase: int = 0  # exponent of i
 
     def letters(self) -> str:
-        return "".join(_LETTERS[(xi, zi)] for xi, zi in zip(self.x, self.z))
+        return "".join(_LETTERS[(self.x >> k & 1, self.z >> k & 1)] for k in (2, 1, 0))
 
     def label(self) -> str:
         """Text form, e.g. "XIZ" or "-iYIX"."""
@@ -58,10 +55,11 @@ class PauliOp:
                 break
         if len(body) != 3 or any(ch not in _BITS_OF_LETTER for ch in body):
             raise ValueError(f"not a three-qubit Pauli label: {s!r}")
-        bits = [_BITS_OF_LETTER[ch] for ch in body]
-        return cls(
-            x=tuple(b[0] for b in bits), z=tuple(b[1] for b in bits), phase=phase
-        )
+        x = z = 0
+        for ch in body:
+            bx, bz = _BITS_OF_LETTER[ch]
+            x, z = x << 1 | bx, z << 1 | bz
+        return cls(x=x, z=z, phase=phase)
 
     def matrix(self) -> np.ndarray:
         """The 8x8 complex matrix (exact phase included).
@@ -73,57 +71,41 @@ class PauliOp:
         of the single-qubit matrices."""
         import numpy as np
 
-        x = self.x[0] << 2 | self.x[1] << 1 | self.x[2]
-        z = self.z[0] << 2 | self.z[1] << 1 | self.z[2]
-        base = self.phase + sum(xi & zi for xi, zi in zip(self.x, self.z))
+        base = self.phase + (self.x & self.z).bit_count()
         out = np.zeros((8, 8), dtype=complex)
         for c in range(8):
-            out[c ^ x, c] = _POWERS_OF_I[(base + 2 * (c & z).bit_count()) % 4]
+            out[c ^ self.x, c] = _POWERS_OF_I[(base + 2 * (c & self.z).bit_count()) % 4]
         return out
 
     def __mul__(self, other: "PauliOp") -> "PauliOp":
         return multiply(self, other)
 
 
-IDENTITY = PauliOp((0, 0, 0), (0, 0, 0), 0)
+IDENTITY = PauliOp(0, 0, 0)
 
 
 def point_to_pauli(p: Point) -> PauliOp:
     """Map a phase-space point to its Pauli operator (phase 0)."""
-    return PauliOp(
-        x=gf8.self_dual_coords(p[0]), z=gf8.self_dual_coords(p[1]), phase=0
-    )
+    return PauliOp(x=SELF_DUAL_MASK[p[0]], z=SELF_DUAL_MASK[p[1]])
 
 
 def pauli_to_point(op: PauliOp) -> Point:
     """Inverse of point_to_pauli (the phase is dropped)."""
-    return (gf8.from_coords(op.x), gf8.from_coords(op.z))
-
-
-def _single_phase(x1: int, z1: int, x2: int, z2: int) -> int:
-    # Y = i X Z per qubit; commuting X past Z contributes (-1)^(z1 x2).
-    x3, z3 = x1 ^ x2, z1 ^ z2
-    return (x1 * z1 + x2 * z2 + 2 * z1 * x2 - x3 * z3) % 4
+    return (SELF_DUAL_MASK.index(op.x), SELF_DUAL_MASK.index(op.z))
 
 
 def multiply(p: PauliOp, q: PauliOp) -> PauliOp:
-    """Exact product: matrix(multiply(p, q)) == matrix(p) @ matrix(q)."""
-    phase = p.phase + q.phase
-    for x1, z1, x2, z2 in zip(p.x, p.z, q.x, q.z):
-        phase += _single_phase(x1, z1, x2, z2)
-    return PauliOp(
-        x=tuple(a ^ b for a, b in zip(p.x, q.x)),
-        z=tuple(a ^ b for a, b in zip(p.z, q.z)),
-        phase=phase % 4,
-    )
+    """Exact product: matrix(multiply(p, q)) == matrix(p) @ matrix(q).
+    As Y = i X Z, the word (x, z) is i^-popcount(x & z) X^x Z^z, and Z^z_p
+    passes X^x_q with the sign (-1)^popcount(z_p & x_q)."""
+    x, z = p.x ^ q.x, p.z ^ q.z
+    e = (p.x & p.z).bit_count() + (q.x & q.z).bit_count() - (x & z).bit_count()
+    return PauliOp(x, z, (p.phase + q.phase + e + 2 * (p.z & q.x).bit_count()) % 4)
 
 
 def commutes_op(p: PauliOp, q: PauliOp) -> bool:
     """Symplectic form sum(x_i z'_i + x'_i z_i) vanishes over GF(2)."""
-    s = 0
-    for x1, z1, x2, z2 in zip(p.x, p.z, q.x, q.z):
-        s ^= (x1 & z2) ^ (x2 & z1)
-    return s == 0
+    return ((p.x & q.z) ^ (q.x & p.z)).bit_count() % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -149,15 +131,11 @@ def _check_class(ops: tuple[PauliOp, ...]) -> None:
 
 
 def class_from_row(row: tuple[Point, ...]) -> OperatorClass:
-    """Map a striation row to its commuting class.  The generators are the
-    first three GF(2)-independent points in row order (`greedy_basis`),
-    columns 1-3 for every row `build_table` makes.  A row of rank below
-    3 keeps columns 1-3, which `mub.eigenbasis` rejects as dependent."""
-    ops = tuple(point_to_pauli(p) for p in row)
-    _check_class(ops)
-    basis = greedy_basis(row, add_points, ORIGIN)
-    generators = tuple(map(row.index, basis)) if len(basis) == 3 else (0, 1, 2)
-    return OperatorClass(ops=ops, generators=generators)
+    """Map a striation row to its commuting class.  `row_generators` checks
+    the row and gives the generators, columns 1-3 for every row
+    `build_table` makes."""
+    generators = row_generators(row)
+    return OperatorClass(ops=tuple(map(point_to_pauli, row)), generators=generators)
 
 
 def class_from_generators(g1: PauliOp, g2: PauliOp, g3: PauliOp) -> OperatorClass:

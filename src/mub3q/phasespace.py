@@ -1,7 +1,9 @@
 """The 8x8 discrete phase space over GF(8).
 
 A point (a, b) labels a three-qubit Pauli operator; two points commute
-(in the operator sense) iff tr(a1*b2) = tr(a2*b1).  Six seed points --
+(in the operator sense) iff tr(a1*b2) = tr(a2*b1).  Inside the module a
+point is the 6-bit int pack(p) = a << 3 | b, added by XOR, and PERP[x]
+masks the points that commute with x.  Six seed points --
 three per row -- extend by additive recursion to a table of 9 rows of 7
 points each, the striation-generating curves.  A well-formed table
 partitions the 63 nonzero points into 9 rows that are each, together
@@ -12,23 +14,35 @@ sufficient for the internal commutation of all 9 rows.  Each is stored
 as the pairs of seed points whose symplectic products it sums, and is
 checked exactly.  A seed is valid iff it satisfies the equations and its
 six points have GF(2) rank 6 (SeedSet.rank; see the solver module for
-the proof); build_table checks it by default.  Each row of a valid
-table spans a Lagrangian subspace of GF(8)^2 under the symplectic form
-omega(p, q) = tr(a1*b2 + a2*b1), so fit_curve gives it an exact curve
-relation l0*b + l1*b^2 + l2*b^4 = m0*a + m1*a^2 + m2*a^4.
+the proof); build_table checks it by default.  A striation row is 7
+distinct nonzero commuting points (row_generators, the one rule).  With
+the origin it is a Lagrangian subspace of GF(8)^2 under the symplectic
+form omega(p, q) = tr(a1*b2 + a2*b1), so fit_curve gives it an exact
+curve relation l0*b + l1*b^2 + l2*b^4 = m0*a + m1*a^2 + m2*a^4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from operator import xor
 
 from . import gf8
-from .gf8 import MUL, TRACE, mul, trace
+from .gf8 import MUL, TRACE
 
 Point = tuple[int, int]
 ORIGIN: Point = (0, 0)
+
+
+def pack(p: Point) -> int:
+    """The point (a, b) as the 6-bit int a << 3 | b."""
+    return p[0] << 3 | p[1]
+
+
+# Bit y of PERP[x] is set iff the packed points x and y commute: the
+# symplectic form tr(a_x*b_y) + tr(a_y*b_x) vanishes.
+PERP: tuple[int, ...] = tuple(
+    sum(1 << y for y in range(64) if TRACE[MUL[x >> 3][y & 7]] == TRACE[MUL[y >> 3][x & 7]])
+    for x in range(64)
+)
 
 # Canonical parameter order; also the JSON/CLI order everywhere.
 PARAM_NAMES: tuple[str, ...] = (
@@ -57,7 +71,11 @@ class InvalidSeedError(ValueError):
 
 
 class InvalidTableError(ValueError):
-    """Raised when an operation requires a valid table but got a broken one."""
+    """Raised when an operation requires a valid table or row but got a broken one."""
+
+
+class AnticommutingRowError(InvalidTableError):
+    """A supposed commuting row or class contains a non-commuting pair."""
 
 
 def add_points(p: Point, q: Point) -> Point:
@@ -65,21 +83,40 @@ def add_points(p: Point, q: Point) -> Point:
 
 
 def commutes(p: Point, q: Point) -> bool:
-    """Commutation criterion: tr(a1*b2) = tr(a2*b1)."""
-    return trace(mul(p[0], q[1])) == trace(mul(q[0], p[1]))
+    """Commutation criterion: tr(a1*b2) = tr(a2*b1), read from PERP."""
+    return PERP[pack(p)] >> pack(q) & 1 == 1
 
 
-def greedy_basis(vectors, add=xor, zero=0) -> list:
+def greedy_basis(vectors) -> list[int]:
     """The vectors, in order, that are not in the GF(2) span of those before
-    them: a basis of their span.  Field elements by default; pass
-    add_points and ORIGIN for points."""
-    span = {zero}
+    them: a basis of their span.  The vectors are ints, e.g. field
+    elements or packed points, added by XOR."""
+    span = {0}
     basis = []
     for v in vectors:
         if v not in span:
             basis.append(v)
-            span |= {add(v, s) for s in span}
+            span |= {v ^ s for s in span}
     return basis
+
+
+def row_generators(row: tuple[Point, ...]) -> tuple[int, int, int]:
+    """Indices of the first three GF(2)-independent points of a striation
+    row: 7 distinct nonzero points that pairwise commute.  Their span is
+    isotropic, so at most 3-dimensional, and holds them, so it is
+    Lagrangian and they are its nonzero points.  Any other row raises
+    InvalidTableError (AnticommutingRowError for a non-commuting pair)."""
+    packed = [pack(p) for p in row]
+    members = sum(1 << x for x in set(packed))
+    if len(packed) != 7 or members.bit_count() != 7 or members & 1:
+        raise InvalidTableError("a row must hold 7 distinct nonzero points")
+    for p, x in zip(row, packed):
+        if PERP[x] & members != members:
+            q = next(q for q in row if not PERP[x] >> pack(q) & 1)
+            raise AnticommutingRowError(
+                f"points {point_to_json(p)} and {point_to_json(q)} do not commute"
+            )
+    return tuple(map(packed.index, greedy_basis(packed)))
 
 
 def point_to_json(p: Point) -> list[str]:
@@ -128,13 +165,13 @@ class SeedSet:
         if any(p == ORIGIN for p in self.points()):
             errors.append("seed contains the origin")
         for r, row in ((1, self.row1), (2, self.row2)):
-            if len(greedy_basis(row, add_points, ORIGIN)) < 3:
+            if len(greedy_basis(map(pack, row))) < 3:
                 errors.append(f"row {r} seed points are GF(2)-dependent")
         return errors
 
     def rank(self) -> int:
-        """GF(2) rank of the six seed points, packed as a << 3 | b."""
-        return len(greedy_basis([a << 3 | b for a, b in self.points()]))
+        """GF(2) rank of the six seed points."""
+        return len(greedy_basis(map(pack, self.points())))
 
     def is_well_formed(self) -> bool:
         return not self.well_formedness_errors()
@@ -223,11 +260,8 @@ def build_table(seed: SeedSet, *, check_seed: bool = True) -> StriationTable:
 
 def check_all_striation_conditions(table: StriationTable) -> bool:
     """True iff every pair of points within every row commutes."""
-    for row in table.rows:
-        for p, q in combinations(row, 2):
-            if not commutes(p, q):
-                return False
-    return True
+    rows = [[pack(p) for p in row] for row in table.rows]
+    return all(PERP[x] >> y & 1 for row in rows for x in row for y in row)
 
 
 @dataclass(frozen=True)
@@ -264,23 +298,19 @@ class ValidationReport:
         }
 
 
-def _row_is_subgroup(row: tuple[Point, ...]) -> bool:
-    members = set(row) | {ORIGIN}
-    if len(members) != 8 or ORIGIN in row:
-        return False
-    return all(add_points(p, q) in members for p, q in combinations(row, 2))
-
-
 def validate_table(table: StriationTable) -> ValidationReport:
-    """Check the partition and subgroup structure of a table."""
-    subgroups = all(_row_is_subgroup(row) for row in table.rows)
-    seen: list[Point] = [p for row in table.rows for p in row]
-    disjoint = len(set(seen)) == len(seen)
-    covers = set(seen) == {p for p in product(range(8), repeat=2) if p != ORIGIN}
+    """Check the partition and subgroup structure of a table.  A row plus
+    the origin is a subgroup iff the row holds 7 distinct nonzero points
+    of GF(2) rank 3."""
+    rows = [[pack(p) for p in row] for row in table.rows]
+    seen = [x for row in rows for x in row]
     return ValidationReport(
-        rows_are_subgroups=subgroups,
-        rows_disjoint=disjoint,
-        covers_all_points=covers,
+        rows_are_subgroups=all(
+            len(set(row)) == 7 and 0 not in row and len(greedy_basis(row)) == 3
+            for row in rows
+        ),
+        rows_disjoint=len(set(seen)) == len(seen),
+        covers_all_points=set(seen) == set(range(1, 64)),
         rows_commute=check_all_striation_conditions(table),
     )
 
@@ -353,8 +383,8 @@ def _frobenius_sums(t, xs) -> tuple[int, int, int]:
 
 
 def fit_curve(row: tuple[Point, ...]) -> CurveRelation:
-    """The linearized relation L(b) = M(a) whose zero set is the span W
-    of a commuting row of rank 3.
+    """The linearized relation L(b) = M(a) whose zero set is exactly a
+    striation row plus the origin, W.  The row must pass `row_generators`.
 
     W is Lagrangian (W = W-perp): for generators g_i = (a_i, b_i) of W and
     a GF(2) basis t of GF(8), p is in W iff sum t_i*omega(g_i, p) = 0.  As
@@ -363,15 +393,9 @@ def fit_curve(row: tuple[Point, ...]) -> CurveRelation:
     are independent (L(b) = b: the unique b = M(a)), else of the b_i if
     they are (the unique a = L(b)), else (1, mu, mu^2).
     """
-    gens = greedy_basis(row, add_points, ORIGIN)[:3]
-    if len(gens) < 3:
-        raise InvalidTableError("row does not span a 3-dimensional subspace")
-    a, b = zip(*gens)
+    a, b = zip(*(row[i] for i in row_generators(row)))
     t = _dual_basis(a) or _dual_basis(b) or gf8.EXP[:3]
-    relation = CurveRelation(lcoef=_frobenius_sums(t, a), mcoef=_frobenius_sums(t, b))
-    if not all(relation.holds_at(p) for p in row):
-        raise InvalidTableError("row points do not commute")
-    return relation
+    return CurveRelation(lcoef=_frobenius_sums(t, a), mcoef=_frobenius_sums(t, b))
 
 
 GRID_HEADER = "b\\a | " + " ".join(gf8.TOKENS)

@@ -61,8 +61,7 @@ def symplectic_image(indices) -> phasespace.SeedSet:
     bits are those of the indices in 1..63.  Transvections generate
     Sp(6, 2): they keep commutation and the partition, so the image is
     again a valid seed, but not the separability structure."""
-    vs = [PauliOp(x=((n >> 5) & 1, (n >> 4) & 1, (n >> 3) & 1), z=((n >> 2) & 1, (n >> 1) & 1, n & 1))
-          for n in indices]
+    vs = [PauliOp(x=n >> 3, z=n & 7) for n in indices]
     return phasespace.SeedSet(*(tuple(_transvect(p, vs) for p in row) for row in (THREE_AXES_SEED.row1, THREE_AXES_SEED.row2)))
 
 

@@ -2,12 +2,15 @@
 counted per command."""
 
 import argparse
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from mub3q import cli, mub, phasespace, reference, solver
+import mub3q
+from mub3q import cli, mub, pauli, phasespace, reference, solver
 
 from test_cli import GENERIC_SIX, SEED_M3, SEED_NO_AXIS, THREE_AXES
 
@@ -101,3 +104,15 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert [cli.main(argv) for argv, _ in runs] == [code for _, code in runs]
     capsys.readouterr()
     assert counts == {}
+
+
+def test_traced_bindings_resolve():
+    # the benchmark's tracer wraps these bindings by name; read its table
+    # without importing the benchmark package
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _, _ in tracing.TARGETS:
+        assert callable(getattr(getattr(mub3q, module), attr)), (module, attr)
+    assert mub.class_from_row is pauli.class_from_row

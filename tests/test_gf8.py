@@ -72,17 +72,19 @@ def test_trace_examples():
 
 
 def test_self_dual_coords_examples():
-    assert gf8.self_dual_coords(0) == (0, 0, 0)
-    assert gf8.self_dual_coords(M("m3")) == (1, 0, 0)
-    assert gf8.self_dual_coords(M("m5")) == (0, 1, 0)
+    # the self-dual basis elements are the unit masks, qubit 1 in bit 2
+    assert gf8.SELF_DUAL_MASK[0] == 0
+    assert gf8.SELF_DUAL_MASK[M("m3")] == 0b100
+    assert gf8.SELF_DUAL_MASK[M("m5")] == 0b010
+    assert gf8.SELF_DUAL_MASK[M("m6")] == 0b001
 
 
 def test_from_coords_examples():
-    assert gf8.from_coords((0, 0, 0)) == 0
-    assert gf8.from_coords((1, 0, 0)) == M("m3")
+    # the table is a bijection, so a mask names one element
+    assert sorted(gf8.SELF_DUAL_MASK) == list(range(8))
     # mu^3 + mu^5 + mu^6 = (m+1) + (m^2+m+1) + (m^2+1) = 1
     assert M("m3") ^ M("m5") ^ M("m6") == M("1")
-    assert gf8.from_coords((1, 1, 1)) == M("1")
+    assert gf8.SELF_DUAL_MASK.index(0b111) == M("1")
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +133,10 @@ def test_self_dual_basis_property():
 
 
 def test_coords_round_trip():
-    for x in range(8):
-        assert gf8.from_coords(gf8.self_dual_coords(x)) == x
-    for bits in product((0, 1), repeat=3):
-        assert gf8.self_dual_coords(gf8.from_coords(bits)) == bits
+    # the basis is self-dual: tr(x*y) is the dot product of the coordinates
+    for x, y in product(range(8), repeat=2):
+        dot = (gf8.SELF_DUAL_MASK[x] & gf8.SELF_DUAL_MASK[y]).bit_count() % 2
+        assert oracle_trace(oracle_mul(x, y)) == dot
 
 
 def test_tokens_round_trip_and_order():

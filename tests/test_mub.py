@@ -33,7 +33,7 @@ from mub3q.pauli import (
     class_from_row,
     pauli_to_point,
 )
-from mub3q.phasespace import ORIGIN, StriationTable, add_points, build_table, greedy_basis
+from mub3q.phasespace import StriationTable, build_table, greedy_basis, pack
 
 from conftest import seed_from_tokens, symplectic_image
 
@@ -168,8 +168,8 @@ def test_class_from_row_generators_span_sorted_rows(example_tables):
         rows = tuple(tuple(sorted(row)) for row in table.rows)
         for row in rows:
             cls = class_from_row(row)
-            gens = [pauli_to_point(op) for op in cls.generator_ops()]
-            assert len(greedy_basis(gens, add_points, ORIGIN)) == 3
+            gens = [pack(pauli_to_point(op)) for op in cls.generator_ops()]
+            assert len(greedy_basis(gens)) == 3
         report = verify_mub_set(StriationTable(rows=rows))
         assert report.passed
         assert report.structure == structure(table)
@@ -308,9 +308,9 @@ def _kron_matrix(op: PauliOp) -> np.ndarray:
 
 
 def test_matrix_equals_kronecker_product():
-    for bits in product((0, 1), repeat=6):
+    for x, z in product(range(8), repeat=2):
         for phase in range(4):
-            op = PauliOp(x=bits[:3], z=bits[3:], phase=phase)
+            op = PauliOp(x=x, z=z, phase=phase)
             assert np.array_equal(op.matrix(), _kron_matrix(op)), op.label()
 
 

@@ -17,7 +17,7 @@ from mub3q.pauli import (
     pauli_to_point,
     point_to_pauli,
 )
-from mub3q.phasespace import commutes
+from mub3q.phasespace import InvalidTableError, commutes
 
 from conftest import tk
 
@@ -38,7 +38,7 @@ SINGLE = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
 
 def oracle_matrix(op: PauliOp) -> np.ndarray:
     out = np.array([[1j ** (op.phase % 4)]], dtype=complex)
-    for x, z in zip(op.x, op.z):
+    for x, z in ((op.x >> k & 1, op.z >> k & 1) for k in (2, 1, 0)):
         letter = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(x, z)]
         out = np.kron(out, SINGLE[letter])
     return out
@@ -82,13 +82,13 @@ def test_multiply_examples():
 
 
 def test_multiply_phase_exact_on_random_pairs():
+    # every pair of the 64 X/Z masks, each operator with a random phase;
+    # the entries are sums of products of 0, +-1 and +-i, so exact
     rng = random.Random(20240817)
-    ops = [point_to_pauli(p) for p in ALL_POINTS]
-    for _ in range(100):
-        p = rng.choice(ops)
-        q = rng.choice(ops)
-        prod = multiply(p, q)
-        assert np.allclose(prod.matrix(), oracle_matrix(p) @ oracle_matrix(q))
+    ops = [PauliOp(x, z, rng.randrange(4)) for x, z in product(range(8), repeat=2)]
+    mats = [oracle_matrix(op) for op in ops]
+    for (p, mp), (q, mq) in product(zip(ops, mats), repeat=2):
+        assert np.array_equal(multiply(p, q).matrix(), mp @ mq)
     # associativity on a few random triples
     for _ in range(50):
         p, q, r = (rng.choice(ops) for _ in range(3))
@@ -106,12 +106,10 @@ def test_symplectic_matches_trace_condition_everywhere():
 
 
 def test_commutes_op_matches_matrix_commutator():
-    rng = random.Random(7)
     ops = [point_to_pauli(p) for p in ALL_POINTS]
-    for _ in range(60):
-        p, q = rng.choice(ops), rng.choice(ops)
-        mp, mq = oracle_matrix(p), oracle_matrix(q)
-        assert commutes_op(p, q) == np.allclose(mp @ mq, mq @ mp)
+    mats = [oracle_matrix(op) for op in ops]
+    for (p, mp), (q, mq) in product(zip(ops, mats), repeat=2):
+        assert commutes_op(p, q) == np.array_equal(mp @ mq, mq @ mp)
 
 
 def test_label_round_trip():
@@ -154,6 +152,16 @@ def test_class_rejects_anticommuting_row():
     )
     with pytest.raises(AnticommutingRowError):
         class_from_row(row)
+
+
+def test_class_rejects_rows_that_are_not_striation_rows():
+    # a repeated point or the origin: rejected by the row rule, not later by
+    # a label that finds exactly two pure qubits
+    axis = tuple((0, b) for b in range(1, 8))
+    for row in (axis[:6] + axis[:1], axis[:6] + ((0, 0),)):
+        with pytest.raises(InvalidTableError, match="7 distinct nonzero points"):
+            class_from_row(row)
+    assert issubclass(AnticommutingRowError, InvalidTableError)
 
 
 def test_class_closed_under_multiplication_up_to_phase(example_tables):

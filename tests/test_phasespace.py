@@ -23,6 +23,7 @@ from mub3q.phasespace import (
     greedy_basis,
     linearized_eval,
     render_grid,
+    row_generators,
     validate_table,
 )
 
@@ -438,6 +439,18 @@ def test_fit_rejects_non_spanning_row():
     # a legitimate axis row still fits
     rel = fit_curve(flat)
     assert (rel.lcoef, rel.mcoef) == ((0, 0, 0), (1, 0, 0))
+
+
+def test_fit_rejects_a_repeated_point_and_the_origin():
+    # the a = 0 axis row with its last point replaced by its first still
+    # commutes and has rank 3, but its span holds a point it lacks
+    axis = tuple((0, b) for b in range(1, 8))
+    for row in (axis[:6] + axis[:1], axis[:6] + (ORIGIN,)):
+        with pytest.raises(InvalidTableError, match="7 distinct nonzero points"):
+            row_generators(row)
+        with pytest.raises(InvalidTableError, match="7 distinct nonzero points"):
+            fit_curve(row)
+    assert row_generators(axis) == (0, 1, 3)
 
 
 def test_curve_relation_json_round_trip():
