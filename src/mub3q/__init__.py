@@ -5,7 +5,7 @@ points, extend them to a 9x7 table of striation-generating curves in the
 8x8 discrete phase space, map each row to a class of 7 commuting Pauli
 operators, build the 9 common eigenbases and check their unbiasedness
 numerically.  The separability structure is read exactly from the
-operator classes; `mub.separability` recomputes it from the states.
+operator classes.
 """
 
 from .gf8 import ELEMENTS, from_token, to_token, trace
@@ -16,7 +16,6 @@ from .phasespace import (
     ValidationReport,
     build_table,
     check_all_striation_conditions,
-    check_twelve_equations,
     commutes,
     fit_curve,
     render_grid,
@@ -36,9 +35,7 @@ from .mub import (
     MubReport,
     build_bases,
     eigenbasis,
-    separability,
     structure,
-    unbiasedness,
     verify_mub_set,
 )
 
@@ -58,7 +55,6 @@ __all__ = [
     "build_bases",
     "build_table",
     "check_all_striation_conditions",
-    "check_twelve_equations",
     "class_from_row",
     "commutes",
     "commutes_op",
@@ -67,7 +63,6 @@ __all__ = [
     "from_token",
     "point_to_pauli",
     "render_grid",
-    "separability",
     "solve_generic",
     "solve_no_axis",
     "solve_one_axis",
@@ -76,7 +71,6 @@ __all__ = [
     "structure",
     "to_token",
     "trace",
-    "unbiasedness",
     "validate_table",
     "verify_mub_set",
 ]

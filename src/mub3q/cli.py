@@ -25,6 +25,10 @@ from .phasespace import PARAM_NAMES, SeedSet
 SEED_FLAGS = PARAM_NAMES
 SOLVE_FLAGS = ("l1", "l2", *SEED_FLAGS)  # value flags of solve: l1, l2 and the seed
 
+# Seed and scenario files are under 1 KiB; reading stops one byte past
+# this cap, so no file, however large or endless, is read whole.
+MAX_INPUT_BYTES = 1 << 20
+
 
 class UsageError(Exception):
     pass
@@ -90,11 +94,15 @@ def _point_text(p) -> str:
 
 
 def _read_json(path: str, what: str):
-    """Parse a JSON file.  A file that cannot be opened or decoded, is not
-    JSON, or nests too deeply for the parser, is a DomainError."""
+    """Parse a UTF-8 JSON file of at most MAX_INPUT_BYTES.  A file that
+    cannot be opened or decoded, is larger, is not JSON, or nests too
+    deeply for the parser, is a DomainError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise ValueError(f"larger than {MAX_INPUT_BYTES} bytes")
+        return json.loads(data.decode("utf-8"))
     except (OSError, RecursionError, ValueError) as exc:
         raise DomainError(f"cannot read {what} file: {exc}") from None
 

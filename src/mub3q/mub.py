@@ -12,13 +12,12 @@ Each basis is labeled triseparable / biseparable / nonseparable exactly,
 from its class: qubit j of every eigenstate is pure iff the class holds
 an operator acting on qubit j alone (the stabilizers of a state that are
 supported on one qubit fix that qubit's reduced state).  Three, one and
-no pure qubits give the three labels.  `separability` recomputes the
-label numerically from the purities of the single-qubit reduced states,
-which for these stabilizer states are exactly 1 or 1/2; it is the
-independent check of the exact rule.
+no pure qubits give the three labels.  The tests check the rule against
+the purities of the single-qubit reduced states, which for these
+stabilizer states are exactly 1 or 1/2.
 
-numpy is imported by the numeric functions only, so the exact labels
-and structure need no numpy.
+numpy is imported by `eigenbasis` and `verify_mub_set` only, so the
+exact labels and structure need no numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ if TYPE_CHECKING:
 
 ORTHO_TOL = 1e-10
 UNBIAS_TOL = 1e-10
-PURITY_TOL = 1e-9
 
 TRISEPARABLE = "triseparable"
 BISEPARABLE = "biseparable"
@@ -152,52 +150,6 @@ def class_label(op_class: OperatorClass) -> str:
     return _label_of_pure_count(len(pure))
 
 
-def _single_qubit_purities(state: np.ndarray) -> tuple[float, float, float]:
-    import numpy as np
-
-    psi = state.reshape(2, 2, 2)
-    out = []
-    for axis in range(3):
-        rho = np.tensordot(
-            np.moveaxis(psi, axis, 0).reshape(2, 4),
-            np.moveaxis(psi, axis, 0).reshape(2, 4).conj(),
-            axes=([1], [1]),
-        )
-        out.append(float(np.trace(rho @ rho).real))
-    return tuple(out)
-
-
-def _classify_states(states: np.ndarray) -> str:
-    patterns = set()
-    for state in states:
-        purities = _single_qubit_purities(state)
-        patterns.add(tuple(abs(p - 1.0) < PURITY_TOL for p in purities))
-    if len(patterns) != 1:
-        raise SeparabilityError(f"states disagree on pure qubits: {sorted(patterns)}")
-    return _label_of_pure_count(sum(patterns.pop()))
-
-
-def separability(basis: Basis) -> str:
-    """Recompute the separability label numerically, from the purities of
-    the states' single-qubit reduced states."""
-    return _classify_states(basis.states)
-
-
-def unbiasedness(b1: Basis, b2: Basis) -> float:
-    """Max over the 64 cross pairs of | |<psi|phi>|^2 - 1/8 |."""
-    import numpy as np
-
-    overlaps = b1.states.conj() @ b2.states.T
-    return float(np.max(np.abs(np.abs(overlaps) ** 2 - 0.125)))
-
-
-def orthonormality_defect(basis: Basis) -> float:
-    import numpy as np
-
-    gram = basis.states.conj() @ basis.states.T
-    return float(np.max(np.abs(gram - np.eye(8))))
-
-
 def build_bases(table: StriationTable) -> list[Basis]:
     """The nine eigenbases of a striation table's operator classes."""
     return [eigenbasis(class_from_row(row)) for row in table.rows]
@@ -238,10 +190,10 @@ def structure_of(labels: list[str]) -> tuple[int, int, int]:
 
 def verify_mub_set(table: StriationTable) -> MubReport:
     """Build all nine bases and measure orthonormality and unbiasedness
-    from one Gram matrix of their 72 states: `orthonormality_defect` of
-    its diagonal 8x8 blocks and `unbiasedness` of the 36 blocks above
-    them.  The report keeps the bases, so callers need not build them
-    again."""
+    from one Gram matrix of their 72 states: the orthonormality defect of
+    its diagonal 8x8 blocks and the unbiasedness defect, max over pairs of
+    | |<psi|phi>|^2 - 1/8 |, of the 36 blocks above them.  The report
+    keeps the bases, so callers need not build them again."""
     import numpy as np
 
     bases = build_bases(table)

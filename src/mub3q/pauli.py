@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .gf8 import SELF_DUAL_MASK
-from .phasespace import AnticommutingRowError, Point, row_generators
+from .phasespace import AnticommutingRowError, Point, row_generators  # noqa: F401 (raised by class_from_row)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,9 +81,6 @@ class PauliOp:
         return multiply(self, other)
 
 
-IDENTITY = PauliOp(0, 0, 0)
-
-
 def point_to_pauli(p: Point) -> PauliOp:
     """Map a phase-space point to its Pauli operator (phase 0)."""
     return PauliOp(x=SELF_DUAL_MASK[p[0]], z=SELF_DUAL_MASK[p[1]])
@@ -119,33 +116,9 @@ class OperatorClass:
         return tuple(self.ops[i] for i in self.generators)
 
 
-def _check_class(ops: tuple[PauliOp, ...]) -> None:
-    if len(ops) != 7:
-        raise ValueError("a commuting class holds exactly 7 operators")
-    for i in range(7):
-        for j in range(i + 1, 7):
-            if not commutes_op(ops[i], ops[j]):
-                raise AnticommutingRowError(
-                    f"operators {ops[i].label()} and {ops[j].label()} anticommute"
-                )
-
-
 def class_from_row(row: tuple[Point, ...]) -> OperatorClass:
     """Map a striation row to its commuting class.  `row_generators` checks
     the row and gives the generators, columns 1-3 for every row
     `build_table` makes."""
     generators = row_generators(row)
     return OperatorClass(ops=tuple(map(point_to_pauli, row)), generators=generators)
-
-
-def class_from_generators(g1: PauliOp, g2: PauliOp, g3: PauliOp) -> OperatorClass:
-    """Commuting class generated by three independent commuting operators."""
-    combos = ((g1,), (g2,), (g3,), (g1, g2), (g1, g3), (g2, g3), (g1, g2, g3))
-    ops = []
-    for combo in combos:
-        acc = IDENTITY
-        for g in combo:
-            acc = multiply(acc, g)
-        ops.append(acc)
-    _check_class(tuple(ops))
-    return OperatorClass(ops=tuple(ops), generators=(0, 1, 2))

@@ -5,7 +5,7 @@ A point (a, b) labels a three-qubit Pauli operator; two points commute
 point is the 6-bit int pack(p) = a << 3 | b, added by XOR, and PERP[x]
 masks the points that commute with x.  Six seed points --
 three per row -- extend by additive recursion to a table of 9 rows of 7
-points each, the striation-generating curves.  A well-formed table
+points each, the striation-generating curves.  A valid table
 partitions the 63 nonzero points into 9 rows that are each, together
 with the origin, a 3-dimensional GF(2) subspace of GF(8)^2.
 
@@ -160,21 +160,9 @@ class SeedSet:
     def points(self) -> tuple[Point, ...]:
         return self.row1 + self.row2
 
-    def well_formedness_errors(self) -> list[str]:
-        errors = []
-        if any(p == ORIGIN for p in self.points()):
-            errors.append("seed contains the origin")
-        for r, row in ((1, self.row1), (2, self.row2)):
-            if len(greedy_basis(map(pack, row))) < 3:
-                errors.append(f"row {r} seed points are GF(2)-dependent")
-        return errors
-
     def rank(self) -> int:
         """GF(2) rank of the six seed points."""
         return len(greedy_basis(map(pack, self.points())))
-
-    def is_well_formed(self) -> bool:
-        return not self.well_formedness_errors()
 
     def to_json(self) -> dict:
         return {
@@ -205,11 +193,6 @@ def failing_equations(seed: SeedSet) -> list[int]:
     ]
 
 
-def check_twelve_equations(seed: SeedSet) -> bool:
-    """True iff all twelve trace identities hold for the seed parameters."""
-    return not failing_equations(seed)
-
-
 @dataclass(frozen=True)
 class StriationTable:
     """9 rows x 7 points: the striation-generating curves."""
@@ -221,14 +204,6 @@ class StriationTable:
 
     def to_json(self) -> list:
         return [[point_to_json(p) for p in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, obj) -> "StriationTable":
-        if not isinstance(obj, list) or len(obj) != 9 or any(
-            not isinstance(r, list) or len(r) != 7 for r in obj
-        ):
-            raise ValueError("a table must be a 9x7 array of points")
-        return cls(rows=tuple(tuple(point_from_json(p) for p in row) for row in obj))
 
 
 def build_table(seed: SeedSet, *, check_seed: bool = True) -> StriationTable:
@@ -282,21 +257,6 @@ class ValidationReport:
             and self.rows_commute
         )
 
-    def first_failure(self) -> str | None:
-        for name in ("rows_are_subgroups", "rows_disjoint", "covers_all_points", "rows_commute"):
-            if not getattr(self, name):
-                return name.replace("_", "-")
-        return None
-
-    def to_json(self) -> dict:
-        return {
-            "rows_are_subgroups": self.rows_are_subgroups,
-            "rows_disjoint": self.rows_disjoint,
-            "covers_all_points": self.covers_all_points,
-            "rows_commute": self.rows_commute,
-            "valid": self.valid,
-        }
-
 
 def validate_table(table: StriationTable) -> ValidationReport:
     """Check the partition and subgroup structure of a table.  A row plus
@@ -347,15 +307,6 @@ class CurveRelation:
             "l": [gf8.to_token(c) for c in self.lcoef],
             "m": [gf8.to_token(c) for c in self.mcoef],
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "CurveRelation":
-        if not isinstance(obj, dict) or set(obj) != {"l", "m"}:
-            raise ValueError('a curve relation must be {"l": [...], "m": [...]}')
-        if any(not isinstance(obj[k], list) or len(obj[k]) != 3 for k in ("l", "m")):
-            raise ValueError("curve coefficients must be arrays of three tokens")
-        l, m = (tuple(map(gf8.from_token, obj[k])) for k in ("l", "m"))
-        return cls(lcoef=l, mcoef=m)
 
 
 def linearized_eval(coeffs: tuple[int, int, int], x: int) -> int:

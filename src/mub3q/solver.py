@@ -12,9 +12,8 @@ others.
 
 Solutions are returned in a fixed order: free parameters are sorted in
 canonical parameter order, each by the element display order, so the
-output is lexicographically sorted.  Degenerate assignments (seeds that
-fail well-formedness or whose table fails validation) are returned with
-valid=False rather than dropped.
+output is lexicographically sorted.  Assignments whose seed points are
+GF(2)-dependent are returned with valid=False rather than dropped.
 
 A solution is valid exactly when its six seed points are GF(2)-independent.
 Every table point is the sum of the seed points that its coefficient
@@ -24,8 +23,7 @@ each row plus the origin a 3-dimensional subspace and the 9 rows a
 partition, iff the seed points are independent.  The twelve equations
 are the row-commutation conditions, and every solution satisfies them.
 Validity is therefore one rank test per solution (SeedSet.rank);
-solution_is_valid and build_table add the equations for arbitrary seeds, and
-phasespace.validate_table stays the general check for tables as input.
+solution_is_valid and build_table add the equations for arbitrary seeds.
 """
 
 from __future__ import annotations
@@ -316,10 +314,10 @@ def enumerate_assignments(
 
 
 def solution_is_valid(seed: SeedSet) -> bool:
-    """Well-formed seed whose table passes every validation flag, decided
-    by the rule of the module docstring: the seed points are independent
-    and the twelve equations hold."""
-    return seed.rank() == 6 and phasespace.check_twelve_equations(seed)
+    """Seed whose table passes every validation flag, decided by the rule
+    of the module docstring: the seed points are independent and the
+    twelve equations hold."""
+    return seed.rank() == 6 and not phasespace.failing_equations(seed)
 
 
 def _package(assignments, free_names) -> list[Solution]:
@@ -351,7 +349,7 @@ def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Sol
         out = []
         for l3 in gf8.ELEMENTS:
             seed = SeedSet.from_params(_axes_seed_params(fixed["l1"], fixed["l2"], l3))
-            if phasespace.check_twelve_equations(seed):
+            if not phasespace.failing_equations(seed):
                 out.append(Solution(seed=seed, free=(("l3", l3),), valid=seed.rank() == 6))
         return out
     assignments = enumerate_assignments(scenario.pinned(), allow_large=allow_large)

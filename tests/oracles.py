@@ -1,0 +1,96 @@
+"""Reference computations that the tests compare the library against.
+
+The library reads separability labels exactly from the operator classes
+and measures both defects of a table from one Gram matrix of its bases.
+These are the independent checks of those results: the separability
+label recomputed numerically from the purities of the single-qubit
+reduced states (exactly 1 or 1/2 for stabilizer states), the
+unbiasedness and orthonormality defects of single bases and pairs, and
+the commuting class built by multiplying three generators.  No library
+code calls them.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from mub3q.mub import Basis, SeparabilityError, _label_of_pure_count
+from mub3q.pauli import OperatorClass, PauliOp, commutes_op, multiply
+from mub3q.phasespace import AnticommutingRowError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+PURITY_TOL = 1e-9
+
+IDENTITY = PauliOp(0, 0, 0)
+
+
+def _single_qubit_purities(state: np.ndarray) -> tuple[float, float, float]:
+    import numpy as np
+
+    psi = state.reshape(2, 2, 2)
+    out = []
+    for axis in range(3):
+        rho = np.tensordot(
+            np.moveaxis(psi, axis, 0).reshape(2, 4),
+            np.moveaxis(psi, axis, 0).reshape(2, 4).conj(),
+            axes=([1], [1]),
+        )
+        out.append(float(np.trace(rho @ rho).real))
+    return tuple(out)
+
+
+def _classify_states(states: np.ndarray) -> str:
+    patterns = set()
+    for state in states:
+        purities = _single_qubit_purities(state)
+        patterns.add(tuple(abs(p - 1.0) < PURITY_TOL for p in purities))
+    if len(patterns) != 1:
+        raise SeparabilityError(f"states disagree on pure qubits: {sorted(patterns)}")
+    return _label_of_pure_count(sum(patterns.pop()))
+
+
+def separability(basis: Basis) -> str:
+    """Recompute the separability label numerically, from the purities of
+    the states' single-qubit reduced states."""
+    return _classify_states(basis.states)
+
+
+def unbiasedness(b1: Basis, b2: Basis) -> float:
+    """Max over the 64 cross pairs of | |<psi|phi>|^2 - 1/8 |."""
+    import numpy as np
+
+    overlaps = b1.states.conj() @ b2.states.T
+    return float(np.max(np.abs(np.abs(overlaps) ** 2 - 0.125)))
+
+
+def orthonormality_defect(basis: Basis) -> float:
+    import numpy as np
+
+    gram = basis.states.conj() @ basis.states.T
+    return float(np.max(np.abs(gram - np.eye(8))))
+
+
+def _check_class(ops: tuple[PauliOp, ...]) -> None:
+    if len(ops) != 7:
+        raise ValueError("a commuting class holds exactly 7 operators")
+    for i in range(7):
+        for j in range(i + 1, 7):
+            if not commutes_op(ops[i], ops[j]):
+                raise AnticommutingRowError(
+                    f"operators {ops[i].label()} and {ops[j].label()} anticommute"
+                )
+
+
+def class_from_generators(g1: PauliOp, g2: PauliOp, g3: PauliOp) -> OperatorClass:
+    """Commuting class generated by three independent commuting operators."""
+    combos = ((g1,), (g2,), (g3,), (g1, g2), (g1, g3), (g2, g3), (g1, g2, g3))
+    ops = []
+    for combo in combos:
+        acc = IDENTITY
+        for g in combo:
+            acc = multiply(acc, g)
+        ops.append(acc)
+    _check_class(tuple(ops))
+    return OperatorClass(ops=tuple(ops), generators=(0, 1, 2))

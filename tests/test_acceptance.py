@@ -210,15 +210,13 @@ def test_criterion_09_equations_imply_striation_conditions():
     for fixed in sweeps:
         for assignment in solver.enumerate_assignments(fixed):
             seed = SeedSet.from_params(assignment)
-            if not seed.is_well_formed():
-                continue
             seeds += 1
             table = build_table(seed, check_seed=False)
             if not check_all_striation_conditions(table):
                 counterexamples.append(assignment)
     elapsed = time.perf_counter() - t0
     ok = seeds >= 10000 and not counterexamples
-    _report(9, ok, f"{seeds} well-formed seeds satisfying the equations; "
+    _report(9, ok, f"{seeds} seeds satisfying the equations; "
                    f"{len(counterexamples)} striation counterexamples; {elapsed:.1f}s")
 
 

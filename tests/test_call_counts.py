@@ -50,7 +50,7 @@ def test_classify_builds_no_basis(calls, capsys):
 
 
 def test_verify_builds_nine_bases_without_purities(monkeypatch, capsys):
-    counts = _counted(monkeypatch, ((mub, "eigenbasis"), (mub, "_single_qubit_purities")))
+    counts = _counted(monkeypatch, ((mub, "eigenbasis"),))
     assert cli.main(["verify", *SEED_M3, "--amplitudes"]) == 0
     capsys.readouterr()
     assert counts == {"eigenbasis": 9}
@@ -76,7 +76,6 @@ def test_valid_seed_is_checked_by_equations_and_rank_only(monkeypatch, capsys, c
     counts = _counted(monkeypatch, (
         (phasespace, "validate_table"),
         (phasespace, "failing_equations"),
-        (phasespace.SeedSet, "well_formedness_errors"),
         (phasespace.SeedSet, "rank"),
     ))
     assert cli.main([command, *SEED_M3]) == 0

@@ -202,6 +202,27 @@ def test_undecodable_file_names_the_file(tmp_path, capsys, command, flag, what, 
     assert err.startswith(f"error: cannot read {what} file: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, what, content",
+    [
+        ("solve", "--scenario-file", "scenario", {"kind": "three-axes", "fixed": {"l1": "m2", "l2": "m6"}}),
+        ("table", "--seed-file", "seed", {"row1": [["0", "m2"], ["0", "m6"], ["0", "m3"]],
+                                          "row2": [["m2", "0"], ["m6", "0"], ["m3", "0"]]}),
+    ],
+    ids=["scenario", "seed"],
+)
+def test_file_over_the_size_cap_is_refused(tmp_path, capsys, command, flag, what, content):
+    # whitespace, then a valid input: accepted at the cap, refused one byte over
+    text = json.dumps(content)
+    path = tmp_path / "input.json"
+    path.write_text(" " * (cli.MAX_INPUT_BYTES - len(text)) + text)
+    assert run_cli([command, flag, str(path)], capsys)[0] == 0
+    path.write_text(" " * (cli.MAX_INPUT_BYTES + 1 - len(text)) + text)
+    assert run_cli([command, flag, str(path)], capsys) == (
+        1, "", f"error: cannot read {what} file: larger than {cli.MAX_INPUT_BYTES} bytes\n"
+    )
+
+
 def test_solve_repeated_fix_is_usage_error(capsys):
     code, out, err = run_cli(
         ["solve", "--scenario", "generic", "--fix", "b11=m", "--fix", "b11=m2"], capsys
@@ -279,7 +300,7 @@ def _seed_flags(seed) -> list[str]:
         ((("0", "0"),) * 3, (("0", "0"),) * 3, 0),
         ((("0", "1"),) * 3, (("0", "0"),) * 3, 1),
         (_DEPENDENT, _DEPENDENT, 2),
-        (_AXIS_B, _AXIS_B, 3),  # duplicate rows: well-formed, rows not disjoint
+        (_AXIS_B, _AXIS_B, 3),  # duplicate rows: each row independent, rows not disjoint
         ((("0", "m2"), ("0", "0"), ("0", "m6")), (("0", "m3"), ("0", "m6"), ("0", "m2")), 3),
         (_AXIS_B, _AXIS_A, 6),
     ],
@@ -288,7 +309,7 @@ def _seed_flags(seed) -> list[str]:
 def test_table_accepts_exactly_the_valid_seeds(row1, row2, rank, capsys):
     seed = seed_from_tokens(row1, row2)
     assert seed.rank() == rank and failing_equations(seed) == []
-    valid = seed.is_well_formed() and validate_table(build_table(seed, check_seed=False)).valid
+    valid = validate_table(build_table(seed, check_seed=False)).valid
     code, out, err = run_cli(["table", *_seed_flags(seed)], capsys)
     assert (code == 0) == valid == (rank == 6)
     if not valid:

@@ -18,24 +18,22 @@ from mub3q.mub import (
     build_bases,
     class_label,
     eigenbasis,
-    orthonormality_defect,
-    separability,
     structure,
     structure_of,
     table_labels,
-    unbiasedness,
     verify_mub_set,
 )
-from mub3q.pauli import (
-    OperatorClass,
-    PauliOp,
-    class_from_generators,
-    class_from_row,
-    pauli_to_point,
-)
+from mub3q.pauli import OperatorClass, PauliOp, class_from_row, pauli_to_point
 from mub3q.phasespace import StriationTable, build_table, greedy_basis, pack
 
 from conftest import seed_from_tokens, symplectic_image
+from oracles import (
+    _single_qubit_purities,
+    class_from_generators,
+    orthonormality_defect,
+    separability,
+    unbiasedness,
+)
 
 def _class(*labels):
     return class_from_generators(*(PauliOp.from_label(s) for s in labels))
@@ -202,7 +200,7 @@ def test_separability_purity_values():
     for labels in (("ZII", "IZI", "IIZ"), ("ZII", "IXX", "IZZ"), ("XXX", "ZZI", "IZZ")):
         basis = eigenbasis(_class(*labels))
         for state in basis.states:
-            for p in mub._single_qubit_purities(state):
+            for p in _single_qubit_purities(state):
                 assert min(abs(p - 1.0), abs(p - 0.5)) < 1e-9
 
 
@@ -217,7 +215,7 @@ def test_separability_rejects_mixed_bases():
 def test_biseparable_purities():
     basis = eigenbasis(_class("ZII", "IXX", "IZZ"))
     for state in basis.states:
-        purities = mub._single_qubit_purities(state)
+        purities = _single_qubit_purities(state)
         assert abs(purities[0] - 1.0) < 1e-9
         assert abs(purities[1] - 0.5) < 1e-9
         assert abs(purities[2] - 0.5) < 1e-9

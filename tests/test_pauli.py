@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from mub3q.pauli import (
-    IDENTITY,
     AnticommutingRowError,
     PauliOp,
-    class_from_generators,
     class_from_row,
     commutes_op,
     multiply,
@@ -20,6 +18,7 @@ from mub3q.pauli import (
 from mub3q.phasespace import InvalidTableError, commutes
 
 from conftest import tk
+from oracles import IDENTITY, class_from_generators
 
 ALL_POINTS = [(a, b) for a in range(8) for b in range(8)]
 

@@ -16,7 +16,6 @@ from mub3q.phasespace import (
     StriationTable,
     build_table,
     check_all_striation_conditions,
-    check_twelve_equations,
     commutes,
     failing_equations,
     fit_curve,
@@ -84,21 +83,19 @@ def test_seed_json_round_trip():
     assert SeedSet.from_json(obj) == NO_AXIS_SEED
 
 
-def test_seed_well_formedness():
-    assert THREE_AXES_SEED.is_well_formed()
+def test_build_table_rejects_ill_formed_seeds():
     with_origin = seed_from_tokens(
         [("0", "0"), ("0", "m6"), ("0", "m3")],
         [("m2", "0"), ("m6", "0"), ("m3", "0")],
     )
-    assert "origin" in with_origin.well_formedness_errors()[0]
     # m2 + m6 = 1, so the first row is dependent
     dependent = seed_from_tokens(
         [("0", "m2"), ("0", "m6"), ("0", "1")],
         [("m2", "0"), ("m6", "0"), ("m3", "0")],
     )
-    assert not dependent.is_well_formed()
-    with pytest.raises(InvalidSeedError):
-        build_table(dependent)
+    for seed in (with_origin, dependent):
+        with pytest.raises(InvalidSeedError):
+            build_table(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +132,12 @@ def test_build_table_wraparound():
             )
 
 
-def test_table_json_round_trip():
-    table = build_table(TWO_AXES_SEED)
-    assert StriationTable.from_json(table.to_json()) == table
-    for bad in ([0] * 9, [["0"] * 7] * 9, ["0123456"] * 9, [[]] * 9, None):
-        with pytest.raises(ValueError):
-            StriationTable.from_json(bad)
-
-
 # ---------------------------------------------------------------------------
 # the twelve equations
 # ---------------------------------------------------------------------------
 
 def test_twelve_equations_on_reference_seeds():
     for seed in (THREE_AXES_SEED, TWO_AXES_SEED, ONE_AXIS_SEED, NO_AXIS_SEED):
-        assert check_twelve_equations(seed)
         assert failing_equations(seed) == []
 
 
@@ -158,8 +146,7 @@ def test_twelve_equations_duplicate_rows_pass_but_table_invalid():
         [("0", "m3"), ("0", "m5"), ("0", "m6")],
         [("0", "m3"), ("0", "m5"), ("0", "m6")],
     )
-    assert check_twelve_equations(seed)
-    assert seed.is_well_formed()
+    assert failing_equations(seed) == []
     report = validate_table(build_table(seed, check_seed=False))
     assert not report.rows_disjoint
     assert not report.valid
@@ -174,7 +161,6 @@ def test_twelve_equations_perturbed_seed_fails():
     bad = SeedSet.from_params(params)
     failing = failing_equations(bad)
     assert failing
-    assert not check_twelve_equations(bad)
 
 
 # The fifteen symplectic products omega(p_i, p_j), i < j, of the seed points.
@@ -273,7 +259,8 @@ def test_validate_reference_tables(example_tables):
     for table in example_tables.values():
         report = validate_table(table)
         assert report.valid
-        assert report.to_json()["valid"] is True
+        assert report.rows_are_subgroups and report.rows_disjoint
+        assert report.covers_all_points and report.rows_commute
 
 
 def test_validate_degenerate_seed_table():
@@ -285,7 +272,6 @@ def test_validate_degenerate_seed_table():
     report = validate_table(table)
     assert not report.rows_are_subgroups
     assert not report.valid
-    assert report.first_failure() == "rows-are-subgroups"
 
 
 def test_partition_of_phase_space(example_tables):
@@ -453,14 +439,9 @@ def test_fit_rejects_a_repeated_point_and_the_origin():
     assert row_generators(axis) == (0, 1, 3)
 
 
-def test_curve_relation_json_round_trip():
+def test_curve_relation_json_and_text():
     rel = CurveRelation(lcoef=(tk("m"), 1, 0), mcoef=(tk("m2"), tk("m2"), 0))
-    assert CurveRelation.from_json(rel.to_json()) == rel
-    m = ["m2", "m2", "0"]
-    for bad in ({"l": 5, "m": m}, {"l": "m10", "m": m}, {"l": ["m", "1"], "m": m},
-                {"l": ["m", "1", "x"], "m": m}, {"l": m}, [m, m]):
-        with pytest.raises(ValueError):
-            CurveRelation.from_json(bad)
+    assert rel.to_json() == {"l": ["m", "1", "0"], "m": ["m2", "m2", "0"]}
     assert rel.text() == "m*b + b^2 = m2*a + m2*a^2"
 
 
@@ -517,8 +498,6 @@ def test_equations_imply_striation_conditions_two_axes_sweep():
         }
         for assignment in enumerate_assignments(fixed):
             seed = SeedSet.from_params(assignment)
-            if not seed.is_well_formed():
-                continue
             assert check_all_striation_conditions(build_table(seed, check_seed=False))
             checked += 1
     assert checked > 100

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mub3q import gf8, reference
-from mub3q.phasespace import PARAM_NAMES, InvalidSeedError, SeedSet, build_table, check_all_striation_conditions, check_twelve_equations, validate_table
+from mub3q.phasespace import PARAM_NAMES, InvalidSeedError, SeedSet, build_table, check_all_striation_conditions, failing_equations, validate_table
 from mub3q.solver import (
     CostGuardError,
     InvalidInputError,
@@ -99,13 +99,10 @@ def test_no_axis_reference():
 def test_no_axis_invalid_solutions_are_degenerate_seeds():
     for sol in solve_no_axis(*NO_AXIS_ARGS):
         if sol.valid:
-            assert sol.seed.is_well_formed()
             assert validate_table(build_table(sol.seed)).valid
         else:
             # degenerate solutions still satisfy the equations but give no table
-            assert not sol.seed.is_well_formed() or not validate_table(
-                build_table(sol.seed, check_seed=False)
-            ).valid
+            assert not validate_table(build_table(sol.seed, check_seed=False)).valid
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +137,7 @@ def _all_reference_solutions():
 
 def test_solutions_satisfy_equations_post_hoc():
     for sol in _all_reference_solutions():
-        assert check_twelve_equations(sol.seed)
+        assert not failing_equations(sol.seed)
 
 
 def test_valid_solutions_give_valid_tables():
@@ -190,7 +187,7 @@ def test_three_axes_reduction_equivalent_to_twelve_equations():
             reduced = [l3 for l3 in gf8.ELEMENTS if _reduced_three_axes_system(l1, l2, l3)]
             assert solved == reduced
             for l3 in gf8.ELEMENTS:
-                assert (l3 in solved) == check_twelve_equations(_axes_seed(l1, l2, l3))
+                assert (l3 in solved) == (not failing_equations(_axes_seed(l1, l2, l3)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +261,7 @@ def test_generic_matches_sequential_enumeration():
     for a22 in gf8.ELEMENTS:
         for a23 in gf8.ELEMENTS:
             params = dict(fixed, a22=a22, a23=a23)
-            if check_twelve_equations(SeedSet.from_params(params)):
+            if not failing_equations(SeedSet.from_params(params)):
                 expected.append((a22, a23))
     got = [(a["a22"], a["a23"]) for a in enumerate_assignments(fixed)]
     assert got == expected
@@ -390,11 +387,11 @@ def test_solution_ceiling_refuses_empty_fixing():
 
 
 # ---------------------------------------------------------------------------
-# exact validity rule vs well-formedness plus validate_table
+# exact validity rule vs validate_table
 # ---------------------------------------------------------------------------
 
 def _validity_oracle(seed: SeedSet) -> bool:
-    return seed.is_well_formed() and validate_table(build_table(seed, check_seed=False)).valid
+    return validate_table(build_table(seed, check_seed=False)).valid
 
 
 _points = st.tuples(st.sampled_from(gf8.ELEMENTS), st.sampled_from(gf8.ELEMENTS))
@@ -437,22 +434,21 @@ _M3_ROW2 = ((tk("m2"), 0), (tk("m6"), 0), (tk("m3"), 0))
 
 
 @pytest.mark.parametrize(
-    "row1, row2, error",
+    "row1, row2",
     [
-        (_M3_ROW1, ((0, 0),) + _M3_ROW2[1:], "seed contains the origin"),
-        (_M3_ROW1[:2] + ((0, tk("m2") ^ tk("m6")),), _M3_ROW2, "row 1 seed points are GF(2)-dependent"),
+        (_M3_ROW1, ((0, 0),) + _M3_ROW2[1:]),
+        (_M3_ROW1[:2] + ((0, tk("m2") ^ tk("m6")),), _M3_ROW2),
     ],
     ids=["origin", "dependent-row1"],
 )
-def test_validity_rule_rejects_ill_formed_seeds(row1, row2, error):
+def test_validity_rule_rejects_ill_formed_seeds(row1, row2):
     seed = SeedSet(row1=row1, row2=row2)
-    assert error in seed.well_formedness_errors()
+    assert not validate_table(build_table(seed, check_seed=False)).rows_are_subgroups
     assert not solution_is_valid(seed)
 
 
 def test_validity_rule_rejects_point_shared_by_two_rows():
     seed = SeedSet(row1=_M3_ROW1, row2=((0, tk("m2")),) + _M3_ROW2[1:])
-    assert seed.is_well_formed()
     assert not validate_table(build_table(seed, check_seed=False)).rows_disjoint
     assert not solution_is_valid(seed)
     with pytest.raises(InvalidSeedError):
@@ -475,10 +471,10 @@ def test_validity_rule_rejects_point_shared_by_two_rows():
 )
 def test_validity_rule_rejects_non_commuting_partition(row1, row2):
     seed = SeedSet(row1=row1, row2=row2)
-    assert seed.is_well_formed()
     report = validate_table(build_table(seed, check_seed=False))
     # rows are disjoint subgroups covering the 63 points, but do not commute
-    assert report.first_failure() == "rows-commute"
+    assert report.rows_are_subgroups and report.rows_disjoint and report.covers_all_points
+    assert not report.rows_commute
     assert not solution_is_valid(seed)
     with pytest.raises(InvalidSeedError, match="seed fails equation"):
         build_table(seed)
