@@ -91,12 +91,17 @@ def greedy_basis(vectors) -> list[int]:
     """The vectors, in order, that are not in the GF(2) span of those before
     them: a basis of their span.  The vectors are ints, e.g. field
     elements or packed points, added by XOR."""
-    span = {0}
+    pivots: dict[int, int] = {}  # leading bit -> a vector of the span with it
     basis = []
     for v in vectors:
-        if v not in span:
-            basis.append(v)
-            span |= {v ^ s for s in span}
+        r = v
+        while r:
+            top = r.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = r
+                basis.append(v)
+                break
+            r ^= pivots[top]
     return basis
 
 

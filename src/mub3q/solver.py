@@ -2,13 +2,15 @@
 
 Four fixing schemes are supported, one per number of coordinate axes
 appearing in the striation table (three, two, one, none), plus a generic
-partial-assignment solver.  Each pair (i, j) of an equation expands to
-two terms, tr(a_i*b_j) and tr(a_j*b_i), so the equations are bilinear:
-once the free parameters on one side are fixed, the bits of the other
-side's free parameters satisfy 12 GF(2)-linear equations.  The solver
-sweeps the side with fewer free parameters over GF(8) and solves the
-linear system at each sweep point, which lists every solution and no
-others.
+partial-assignment solver.  Every scheme pins some of the 12 parameters
+(Scenario.pinned) and goes through the one solver, enumerate_assignments.
+Each pair (i, j) of an equation expands to two terms, tr(a_i*b_j) and
+tr(a_j*b_i), so the equations are bilinear and unchanged when every
+point's a and b are swapped: once the free coordinates on one side are
+fixed, the bits of the other side's free coordinates satisfy 12
+GF(2)-linear equations.  The solver sweeps the side with fewer free
+coordinates over GF(8) and solves the linear system at each sweep point,
+which lists every solution and no others.
 
 Solutions are returned in a fixed order: free parameters are sorted in
 canonical parameter order, each by the element display order, so the
@@ -48,9 +50,9 @@ class Scheme(NamedTuple):
 _ROW1_ON_AXIS = ("a11", "a12", "a13")
 _ROW2_ON_AXIS = ("b21", "b22", "b23")
 
-# The three-axes scheme fixes l1, l2 of the axes seed (_axes_seed_params)
-# and solves for l3; every other scheme solves the twelve equations for the
-# parameters it neither fixes nor sets to zero.
+# Every scheme solves the twelve equations for the parameters it neither
+# fixes nor sets to zero.  Three-axes places l1 at b11 and a21 and l2 at
+# b12 and a22 (Scenario.pinned), and its l3 is a solution's b13 = a23.
 SCHEMES: dict[str, Scheme] = {
     "three-axes": Scheme(("l1", "l2"), _ROW1_ON_AXIS + _ROW2_ON_AXIS),
     "two-axes": Scheme(("b11", "b12", "b13", "a21"), _ROW1_ON_AXIS + _ROW2_ON_AXIS),
@@ -70,6 +72,9 @@ MAX_SOLUTIONS = 8**7  # output ceiling, whatever allow_large says
 _TRACE_FORM = tuple(
     sum(gf8.TRACE[gf8.mul(c, 1 << j)] << j for j in range(3)) for c in range(8)
 )
+
+# Each equation's pairs of seed points, 0-based.
+_EQUATION_PAIRS = tuple(tuple((i - 1, j - 1) for i, j in pairs) for pairs in TWELVE_EQUATIONS)
 
 # Compact JSON text of each element's token and of each point packed as
 # a << 3 | b, from which Solution.json_text is joined.
@@ -119,8 +124,13 @@ class Scenario:
         return cls(kind=kind, fixed=tuple((n, fixed[n]) for n in order if n in fixed))
 
     def pinned(self) -> dict[str, int]:
-        """The fixed values plus the zeros the scheme implies."""
-        return {**dict(self.fixed), **dict.fromkeys(SCHEMES[self.kind].zeros, 0)}
+        """The fixed parameter values plus the zeros the scheme implies;
+        three-axes puts l1 at b11 and a21, and l2 at b12 and a22."""
+        fixed = dict(self.fixed)
+        if self.kind == "three-axes":
+            l1, l2 = fixed["l1"], fixed["l2"]
+            fixed = {"b11": l1, "a21": l1, "b12": l2, "a22": l2}
+        return {**fixed, **dict.fromkeys(SCHEMES[self.kind].zeros, 0)}
 
     def free_names(self) -> tuple[str, ...]:
         """The names solved for, in PARAM_NAMES order (l3 for three-axes)."""
@@ -182,105 +192,88 @@ class Solution:
         return f'{{"free":{{{free}}},"seed":{{"row1":[{row1}],"row2":[{row2}]}},"valid":{valid}}}'
 
 
-def _solve_gf2(rows: list[int], rhs: list[int], nvars: int):
-    """Solve a GF(2) linear system given as bitmask rows.
+def _solve_gf2(system: list[tuple[int, int]], unknown: int):
+    """Solve a GF(2) linear system of (row, bit) pairs, each row a bitmask
+    over the columns set in `unknown`.
 
-    Returns (particular solution bitmask or None, nullspace basis list).
+    Returns (particular solution, nullspace basis) as bitmasks over those
+    columns, or None if the system is inconsistent.
     """
     pivots: dict[int, tuple[int, int]] = {}  # pivot column -> mutually reduced (row, bit)
-    for r, b in zip(rows, rhs):
+    for r, b in system:
         for col, (pr, pb) in pivots.items():
             if r >> col & 1:
                 r ^= pr
                 b ^= pb
         if r == 0:
             if b:
-                return None, []
+                return None
             continue
         col = r.bit_length() - 1
         for c2, (pr, pb) in list(pivots.items()):
             if pr >> col & 1:
                 pivots[c2] = (pr ^ r, pb ^ b)
         pivots[col] = (r, b)
-    particular = 0
-    for c, (_, b) in pivots.items():
-        if b:
-            particular |= 1 << c
+    particular = sum(1 << c for c, (_, b) in pivots.items() if b)
     basis = []
-    for free in range(nvars):
-        if free in pivots:
-            continue
-        vec = 1 << free
-        for c, (r, _) in pivots.items():
-            if r >> free & 1:
-                vec |= 1 << c
-        basis.append(vec)
+    for free in range(unknown.bit_length()):
+        if unknown >> free & 1 and free not in pivots:
+            vec = 1 << free
+            for c, (r, _) in pivots.items():
+                if r >> free & 1:
+                    vec |= 1 << c
+            basis.append(vec)
     return particular, basis
 
 
-def _solved_fixings(fixed: dict[str, int], free: list[str]):
+def _solved_fixings(fixed: dict[str, int]):
     """Solve the twelve equations as GF(2) systems, one per sweep point.
 
-    The free names of the side (`a` or `b`) with fewer of them are swept
-    over GF(8).  Each sweep point leaves 12 GF(2)-linear equations in the
-    bits of the other side's free names, the unknowns; unknown i owns
-    bits 3i..3i+2 of a solution bitmask.
+    omega(p_i, p_j) = tr(a_i*b_j) + tr(a_j*b_i) is unchanged when every
+    point's a and b are swapped, so either side can be swept: the free
+    coordinates of the side with fewer of them run over GF(8).  Once the
+    swept side s is known, equation k is linear in the other side's six
+    coordinates, packed as an 18-bit vector o (point j in bits 3j..3j+2):
+    its row is the XOR over its pairs of _TRACE_FORM[s_i] << 3j and
+    _TRACE_FORM[s_j] << 3i, and o's fixed bits move to the right-hand side.
 
-    Yields (swept values by name, unknown names, particular solution,
-    nullspace basis) for each sweep point whose system is consistent.
+    Yields (swept side, 0 for a and 1 for b; the swept coordinates; o with
+    its unknown bits zero; particular solution; nullspace basis) for each
+    sweep point whose system is consistent.
     """
-    free_a = [n for n in free if n[0] == "a"]
-    free_b = [n for n in free if n[0] == "b"]
-    swept, unknown = (free_a, free_b) if len(free_a) <= len(free_b) else (free_b, free_a)
-    shift = {n: 3 * i for i, n in enumerate(unknown)}
-    # The terms tr(a_i*b_j) + tr(a_j*b_i) of an equation's pairs sum to 0:
-    # those with an unknown factor must sum to the trace of the fully
-    # known ones.  Per equation: (name of the known factor, bit shift of
-    # the unknown) for each term with an unknown factor, and the fully
-    # known terms.
-    plan = []
-    for pairs in TWELVE_EQUATIONS:
-        linear, constant = [], []
-        for i, j in pairs:
-            for u, v in ((i, j), (j, i)):
-                p, q = PARAM_NAMES[2 * u - 2], PARAM_NAMES[2 * v - 1]  # a_u, b_v
-                if p in shift:
-                    linear.append((q, shift[p]))
-                elif q in shift:
-                    linear.append((p, shift[q]))
-                else:
-                    constant.append((p, q))
-        plan.append((linear, constant))
-    env = dict(fixed)
-    for values in product(gf8.ELEMENTS, repeat=len(swept)):
-        env.update(zip(swept, values))
-        rows, rhs = [], []
-        for linear, constant in plan:
+    a, b = ([fixed.get(PARAM_NAMES[2 * i + side]) for i in range(6)] for side in (0, 1))
+    side = 0 if a.count(None) <= b.count(None) else 1
+    swept, other = (a, b) if side == 0 else (b, a)
+    known = sum(v << 3 * j for j, v in enumerate(other) if v is not None)
+    unknown = sum(7 << 3 * j for j, v in enumerate(other) if v is None)
+    slots = [i for i, v in enumerate(swept) if v is None]
+    for values in product(gf8.ELEMENTS, repeat=len(slots)):
+        for i, v in zip(slots, values):
+            swept[i] = v
+        t = [_TRACE_FORM[v] for v in swept]
+        system = []
+        for pairs in _EQUATION_PAIRS:
             row = 0
-            for c, s in linear:
-                row ^= _TRACE_FORM[env[c]] << s
-            acc = 0
-            for p, q in constant:
-                acc ^= gf8.mul(env[p], env[q])
-            rows.append(row)
-            rhs.append(gf8.TRACE[acc])
-        particular, basis = _solve_gf2(rows, rhs, 3 * len(unknown))
-        if particular is not None:
-            yield dict(zip(swept, values)), unknown, particular, basis
+            for i, j in pairs:
+                row ^= t[i] << 3 * j ^ t[j] << 3 * i
+            system.append((row & unknown, (row & known).bit_count() & 1))
+        solved = _solve_gf2(system, unknown)
+        if solved is not None:
+            yield (side, tuple(swept), known, *solved)
 
 
 def count_assignments(fixed: dict[str, int]) -> int:
     """Number of assignments extending `fixed` that satisfy the twelve
     equations, counted without listing them (no cost guard applies)."""
-    free = Scenario.make("generic", fixed).free_names()
-    return sum(1 << len(basis) for *_, basis in _solved_fixings(fixed, free))
+    Scenario.make("generic", fixed)  # checks the names and values
+    return sum(1 << len(basis) for *_, basis in _solved_fixings(fixed))
 
 
 def enumerate_assignments(
     fixed: dict[str, int], *, allow_large: bool = False
 ) -> list[dict[str, int]]:
     """All full 12-parameter assignments extending `fixed` that satisfy
-    the twelve equations, in lexicographic order.
+    the twelve equations, in lexicographic order, keys in PARAM_NAMES order.
 
     Free parameters run in canonical order, each over the element
     display order.  More than MAX_FREE_DEFAULT free parameters is
@@ -294,66 +287,49 @@ def enumerate_assignments(
             "pass allow_large to enumerate anyway"
         )
     systems, total = [], 0
-    for system in _solved_fixings(fixed, free):
-        total += 1 << len(system[3])
+    for system in _solved_fixings(fixed):
+        total += 1 << len(system[4])
         if total > MAX_SOLUTIONS:
             raise CostGuardError(
                 f"more than {MAX_SOLUTIONS} (8^7) solutions; fix more parameters"
             )
         systems.append(system)
-    solutions = []
-    for solved, unknown, particular, basis in systems:
-        span = [particular]
+    solutions, values = [], [0] * 12  # values in PARAM_NAMES order: a11, b11, ...
+    for side, swept, known, particular, basis in systems:
+        span = [known | particular]
         for vec in basis:
             span += [x ^ vec for x in span]
-        for x in span:
-            solved.update((n, x >> 3 * i & 7) for i, n in enumerate(unknown))
-            solutions.append(tuple(solved[n] for n in free))
+        values[side::2] = swept
+        for o in span:
+            values[1 - side::2] = [o >> 3 * j & 7 for j in range(6)]
+            solutions.append(tuple(values))
     solutions.sort(key=lambda values: tuple(map(gf8.ORDER_KEY.__getitem__, values)))
-    return [{**fixed, **dict(zip(free, values))} for values in solutions]
+    return [dict(zip(PARAM_NAMES, values)) for values in solutions]
 
 
 def solution_is_valid(seed: SeedSet) -> bool:
     """Seed whose table passes every validation flag, decided by the rule
     of the module docstring: the seed points are independent and the
-    twelve equations hold."""
-    return seed.rank() == 6 and not phasespace.failing_equations(seed)
-
-
-def _package(assignments, free_names) -> list[Solution]:
-    """Solutions of checked assignments: the seed is built directly, since
-    enumerate_assignments yields only GF(8) values for all 12 names."""
-    out = []
-    for p in assignments:
-        seed = SeedSet(
-            row1=((p["a11"], p["b11"]), (p["a12"], p["b12"]), (p["a13"], p["b13"])),
-            row2=((p["a21"], p["b21"]), (p["a22"], p["b22"]), (p["a23"], p["b23"])),
-        )
-        free = tuple((n, p[n]) for n in free_names)
-        out.append(Solution(seed=seed, free=free, valid=seed.rank() == 6))
-    return out
-
-
-def _axes_seed_params(l1: int, l2: int, l3: int) -> dict[str, int]:
-    params = dict.fromkeys(SCHEMES["three-axes"].zeros, 0)
-    for c, l in enumerate((l1, l2, l3), start=1):
-        params[f"b1{c}"] = params[f"a2{c}"] = l
-    return params
+    twelve equations hold, so the seed is its own only extension."""
+    return seed.rank() == 6 and count_assignments(seed.params()) == 1
 
 
 def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Solution]:
-    """Solve a scenario.  Three-axes tries each l3 of the axes seed; every
-    other kind enumerates the twelve equations over its free names."""
-    if scenario.kind == "three-axes":
-        fixed = dict(scenario.fixed)
-        out = []
-        for l3 in gf8.ELEMENTS:
-            seed = SeedSet.from_params(_axes_seed_params(fixed["l1"], fixed["l2"], l3))
-            if not phasespace.failing_equations(seed):
-                out.append(Solution(seed=seed, free=(("l3", l3),), valid=seed.rank() == 6))
-        return out
-    assignments = enumerate_assignments(scenario.pinned(), allow_large=allow_large)
-    return _package(assignments, scenario.free_names())
+    """Solve a scenario: enumerate the twelve equations over the names its
+    pinned values leave free.  Three-axes keeps the assignments with
+    b13 = a23 and reports that value as l3."""
+    three_axes = scenario.kind == "three-axes"
+    names = scenario.free_names()
+    out = []
+    for p in enumerate_assignments(scenario.pinned(), allow_large=allow_large):
+        if three_axes and p["b13"] != p["a23"]:
+            continue
+        v = tuple(p.values())
+        points = tuple(zip(v[::2], v[1::2]))
+        seed = SeedSet(row1=points[:3], row2=points[3:])
+        free = (("l3", p["b13"]),) if three_axes else tuple((n, p[n]) for n in names)
+        out.append(Solution(seed=seed, free=free, valid=seed.rank() == 6))
+    return out
 
 
 def solve_generic(fixed: dict[str, int], *, allow_large: bool = False) -> list[Solution]:

@@ -6,8 +6,9 @@ These are the independent checks of those results: the separability
 label recomputed numerically from the purities of the single-qubit
 reduced states (exactly 1 or 1/2 for stabilizer states), the
 unbiasedness and orthonormality defects of single bases and pairs, and
-the commuting class built by multiplying three generators.  No library
-code calls them.
+the commuting class built by multiplying three generators, and the
+greedy basis found by growing the span as a set.  No library code calls
+them.
 """
 
 from __future__ import annotations
@@ -94,3 +95,16 @@ def class_from_generators(g1: PauliOp, g2: PauliOp, g3: PauliOp) -> OperatorClas
         ops.append(acc)
     _check_class(tuple(ops))
     return OperatorClass(ops=tuple(ops), generators=(0, 1, 2))
+
+
+def span_greedy_basis(vectors) -> list[int]:
+    """The vectors, in order, that are not in the GF(2) span of those before
+    them: a basis of their span.  The vectors are ints, e.g. field
+    elements or packed points, added by XOR."""
+    span = {0}
+    basis = []
+    for v in vectors:
+        if v not in span:
+            basis.append(v)
+            span |= {v ^ s for s in span}
+    return basis

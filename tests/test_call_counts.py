@@ -71,6 +71,26 @@ def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypa
     assert counts == {"greedy_basis": 368}
 
 
+@pytest.mark.parametrize("argv", [
+    THREE_AXES,
+    ["solve", "--scenario", "two-axes", "--b11", "m4", "--b12", "m3", "--b13", "m5",
+     "--a21", "1"],
+    ["solve", "--scenario", "one-axis", "--b11", "m4", "--b12", "m3", "--b13", "m",
+     "--a21", "1", "--b22", "m2", "--b23", "m6"],
+    ["solve", "--scenario", "no-axis", "--a11", "m2", "--b11", "m5", "--b12", "m3",
+     "--b13", "1", "--a21", "m3", "--b22", "m2", "--b23", "m"],
+    GENERIC_SIX,
+], ids=["three-axes", "two-axes", "one-axis", "no-axis", "generic"])
+def test_every_scheme_solves_through_one_enumeration(monkeypatch, capsys, argv):
+    counts = _counted(monkeypatch, (
+        (solver, "enumerate_assignments"),
+        (phasespace, "failing_equations"),
+    ))
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert counts == {"enumerate_assignments": 1}
+
+
 @pytest.mark.parametrize("command", ["table", "verify", "classify"])
 def test_valid_seed_is_checked_by_equations_and_rank_only(monkeypatch, capsys, command):
     counts = _counted(monkeypatch, (

@@ -4,6 +4,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mub3q import gf8, phasespace, reference
 from mub3q.phasespace import (
@@ -27,6 +29,7 @@ from mub3q.phasespace import (
 )
 
 from conftest import PRINTED_EQUATIONS, seed_from_tokens, tk
+from oracles import span_greedy_basis
 
 ALL_POINTS = [(a, b) for a in range(8) for b in range(8)]
 
@@ -237,6 +240,21 @@ def test_forms_satisfying_the_equations_are_nondegenerate():
                 gram[i - 1] |= 1 << (j - 1)
                 gram[j - 1] |= 1 << (i - 1)
         assert len(greedy_basis(gram)) == 6
+
+
+@st.composite
+def _vector_lists(draw):
+    # packed points or 18-bit rows, drawn from a small pool with 0 in it so
+    # that zeros, repeats and dependent vectors are common
+    width = draw(st.sampled_from([6, 18]))
+    pool = [0] + draw(st.lists(st.integers(1, (1 << width) - 1), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_lists())
+def test_greedy_basis_matches_span_oracle(vectors):
+    assert greedy_basis(vectors) == span_greedy_basis(vectors)
 
 
 # ---------------------------------------------------------------------------

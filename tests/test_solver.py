@@ -374,6 +374,56 @@ def test_enumerate_matches_brute_force(fixed):
     assert enumerate_assignments(fixed) == _brute_force(fixed)
 
 
+def _swap_sides(assignment: dict) -> dict:
+    """Rename every aRC to bRC and every bRC to aRC."""
+    return {"ab"[n[0] == "a"] + n[1:]: v for n, v in assignment.items()}
+
+
+def _lex_key(assignment: dict) -> tuple:
+    return tuple(gf8.order_key(assignment[n]) for n in PARAM_NAMES)
+
+
+@st.composite
+def _fixings_of_six_or_more(draw):
+    names = draw(st.permutations(PARAM_NAMES))[:draw(st.integers(min_value=6, max_value=12))]
+    return {n: draw(st.sampled_from(gf8.ELEMENTS)) for n in names}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fixings_of_six_or_more())
+def test_swapping_a_and_b_swaps_the_solutions(fixed):
+    # omega is unchanged when every point's a and b are swapped, so the
+    # solver may sweep either side
+    solutions = enumerate_assignments(fixed)
+    swapped = enumerate_assignments(_swap_sides(fixed))
+    assert swapped == sorted(map(_swap_sides, solutions), key=_lex_key)
+    assert all(list(a) == list(PARAM_NAMES) for a in solutions + swapped)
+
+
+_TWO_AXES_SEED = {
+    "a11": 0, "b11": tk("m4"), "a12": 0, "b12": tk("m3"), "a13": 0,
+    "b13": tk("m5"), "a21": tk("1"), "b21": 0, "a22": tk("m2"), "b22": 0,
+    "a23": tk("m3"), "b23": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "free, overrides, count",
+    [
+        (("b13", "a22", "a23"), {}, 4),  # the b side has fewer free names: b is swept
+        (("b12", "a22", "b22", "a23"), {}, 8),  # a tie: a is swept
+        ((), {}, 1),  # a fully fixed seed that satisfies the equations
+        ((), {"a23": tk("m4")}, 0),  # a fully fixed seed that fails them
+    ],
+    ids=["b-swept", "tie", "full-valid", "full-failing"],
+)
+def test_enumerate_matches_brute_force_on_sides_and_full_seeds(free, overrides, count):
+    fixed = {n: v for n, v in {**_TWO_AXES_SEED, **overrides}.items() if n not in free}
+    solutions = enumerate_assignments(fixed)
+    assert solutions == _brute_force(fixed)
+    assert len(solutions) == count
+
+
 def test_count_matches_enumeration_on_eight_free():
     fixed = {"a11": tk("m2"), "b11": tk("m5"), "b12": tk("m3"), "b13": tk("1")}
     assert count_assignments(fixed) == 7680
