@@ -172,6 +172,8 @@ def _cmd_solve(args) -> int:
     if args.scenario_file is not None:
         if args.scenario is not None:
             raise UsageError("give either --scenario or --scenario-file, not both")
+        if args.fix or any(getattr(args, n) is not None for n in SOLVE_FLAGS):
+            raise UsageError("give either --scenario-file or fixing flags, not both")
         scenario = solver.Scenario.from_json(_read_json(args.scenario_file, "scenario"))
     elif args.scenario is None:
         raise UsageError("--scenario (or --scenario-file) is required")

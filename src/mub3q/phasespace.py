@@ -10,11 +10,12 @@ partitions the 63 nonzero points into 9 rows that are each, together
 with the origin, a 3-dimensional GF(2) subspace of GF(8)^2.
 
 Twelve trace equations on the seed parameters are necessary and
-sufficient for the internal commutation of all 9 rows.  Each is stored
-as the pairs of seed points whose symplectic products it sums, and is
-checked exactly.  A seed is valid iff it satisfies the equations and its
-six points have GF(2) rank 6 (SeedSet.rank; see the solver module for
-the proof); build_table checks it by default.  A striation row is 7
+sufficient for the internal commutation of all 9 rows.  equation_rows
+makes them GF(2) rows over one coordinate side of the seed, given the
+other, for failing_equations and the solver; echelon is the one GF(2)
+elimination.  A seed is valid iff it satisfies the equations and its six
+points have GF(2) rank 6 (SeedSet.rank; see the solver module for the
+proof); build_table checks it by default.  A striation row is 7
 distinct nonzero commuting points (row_generators, the one rule).  With
 the origin it is a Lagrangian subspace of GF(8)^2 under the symplectic
 form omega(p, q) = tr(a1*b2 + a2*b1), so fit_curve gives it an exact
@@ -65,6 +66,27 @@ TWELVE_EQUATIONS: tuple[tuple[tuple[int, int], ...], ...] = (
     ((1, 5), (2, 5), (3, 6)),
 )
 
+_EQUATION_PAIRS = tuple(tuple((i - 1, j - 1) for i, j in pairs) for pairs in TWELVE_EQUATIONS)
+
+# Bit j of TRACE_FORM[c] is tr(c * 2^j), so tr(c*u) is the parity of TRACE_FORM[c] & u.
+TRACE_FORM = tuple(sum(TRACE[MUL[c][1 << j]] << j for j in range(3)) for c in range(8))
+
+
+def equation_rows(side) -> list[int]:
+    """The twelve equations as 18-bit GF(2) rows over the other side's
+    coordinates o (o_j in bits 3j..3j+2), given one side s: the six a's
+    or, as omega is unchanged when a and b swap, the six b's.  Equation k
+    holds iff row k - 1 & o has even parity.  Pair (i, j) adds
+    tr(s_i*o_j) + tr(s_j*o_i): TRACE_FORM[s_i] << 3j ^ TRACE_FORM[s_j] << 3i."""
+    t = [TRACE_FORM[v] for v in side]
+    rows = []
+    for pairs in _EQUATION_PAIRS:
+        row = 0
+        for i, j in pairs:
+            row ^= t[i] << 3 * j ^ t[j] << 3 * i
+        rows.append(row)
+    return rows
+
 
 class InvalidSeedError(ValueError):
     """Raised when a seed fails an equation or its points have rank below 6."""
@@ -87,22 +109,21 @@ def commutes(p: Point, q: Point) -> bool:
     return PERP[pack(p)] >> pack(q) & 1 == 1
 
 
-def greedy_basis(vectors) -> list[int]:
-    """The vectors, in order, that are not in the GF(2) span of those before
-    them: a basis of their span.  The vectors are ints, e.g. field
-    elements or packed points, added by XOR."""
-    pivots: dict[int, int] = {}  # leading bit -> a vector of the span with it
-    basis = []
-    for v in vectors:
-        r = v
+def echelon(vectors) -> tuple[dict[int, int], list[int]]:
+    """GF(2) elimination of ints added by XOR.  Returns ({leading bit:
+    vector}, kept): the dict's vectors span the input, one per leading
+    bit, and kept indexes the vectors outside the span of those before."""
+    pivots: dict[int, int] = {}
+    kept = []
+    for i, r in enumerate(vectors):
         while r:
             top = r.bit_length() - 1
             if top not in pivots:
                 pivots[top] = r
-                basis.append(v)
+                kept.append(i)
                 break
             r ^= pivots[top]
-    return basis
+    return pivots, kept
 
 
 def row_generators(row: tuple[Point, ...]) -> tuple[int, int, int]:
@@ -121,7 +142,7 @@ def row_generators(row: tuple[Point, ...]) -> tuple[int, int, int]:
             raise AnticommutingRowError(
                 f"points {point_to_json(p)} and {point_to_json(q)} do not commute"
             )
-    return tuple(map(packed.index, greedy_basis(packed)))
+    return tuple(echelon(packed)[1])
 
 
 def point_to_json(p: Point) -> list[str]:
@@ -167,7 +188,7 @@ class SeedSet:
 
     def rank(self) -> int:
         """GF(2) rank of the six seed points."""
-        return len(greedy_basis(map(pack, self.points())))
+        return len(echelon([a << 3 | b for a, b in self.row1 + self.row2])[0])
 
     def to_json(self) -> dict:
         return {
@@ -189,13 +210,12 @@ class SeedSet:
 
 
 def failing_equations(seed: SeedSet) -> list[int]:
-    """1-based indices of the seed equations that fail: those with an odd
-    number of non-commuting pairs."""
+    """1-based indices of the seed equations that fail: those whose row
+    given the a's has odd parity against the b's."""
     pts = seed.points()
-    return [
-        k for k, pairs in enumerate(TWELVE_EQUATIONS, start=1)
-        if sum(not commutes(pts[i - 1], pts[j - 1]) for i, j in pairs) % 2
-    ]
+    o = sum(b << 3 * j for j, (_, b) in enumerate(pts))
+    rows = equation_rows([a for a, _ in pts])
+    return [k for k, row in enumerate(rows, start=1) if (row & o).bit_count() & 1]
 
 
 @dataclass(frozen=True)
@@ -271,7 +291,7 @@ def validate_table(table: StriationTable) -> ValidationReport:
     seen = [x for row in rows for x in row]
     return ValidationReport(
         rows_are_subgroups=all(
-            len(set(row)) == 7 and 0 not in row and len(greedy_basis(row)) == 3
+            len(set(row)) == 7 and 0 not in row and len(echelon(row)[0]) == 3
             for row in rows
         ),
         rows_disjoint=len(set(seen)) == len(seen),

@@ -25,7 +25,7 @@ each row plus the origin a 3-dimensional subspace and the 9 rows a
 partition, iff the seed points are independent.  The twelve equations
 are the row-commutation conditions, and every solution satisfies them.
 Validity is therefore one rank test per solution (SeedSet.rank);
-solution_is_valid and build_table add the equations for arbitrary seeds.
+solution_is_valid and build_table add failing_equations for any seed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import gf8, phasespace
-from .phasespace import PARAM_NAMES, TWELVE_EQUATIONS, SeedSet
+from .phasespace import PARAM_NAMES, SeedSet
 
 
 class Scheme(NamedTuple):
@@ -66,15 +66,6 @@ SCENARIO_KINDS = tuple(SCHEMES)
 MAX_FREE_DEFAULT = 6  # 8^6 assignments; anything larger needs allow_large
 
 MAX_SOLUTIONS = 8**7  # output ceiling, whatever allow_large says
-
-# Bit j of _TRACE_FORM[c] is tr(c * 2^j), so tr(c*u) = sum_j u_j * tr(c * 2^j)
-# is the parity of _TRACE_FORM[c] & u.
-_TRACE_FORM = tuple(
-    sum(gf8.TRACE[gf8.mul(c, 1 << j)] << j for j in range(3)) for c in range(8)
-)
-
-# Each equation's pairs of seed points, 0-based.
-_EQUATION_PAIRS = tuple(tuple((i - 1, j - 1) for i, j in pairs) for pairs in TWELVE_EQUATIONS)
 
 # Compact JSON text of each element's token and of each point packed as
 # a << 3 | b, from which Solution.json_text is joined.
@@ -118,7 +109,7 @@ class Scenario:
             if l1 == 0 or l2 == 0 or l1 == l2:
                 raise InvalidInputError("l1 and l2 must be distinct and nonzero")
         elif kind in ("two-axes", "one-axis"):
-            if len(phasespace.greedy_basis((fixed["b11"], fixed["b12"], fixed["b13"]))) < 3:
+            if len(phasespace.echelon((fixed["b11"], fixed["b12"], fixed["b13"]))[0]) < 3:
                 raise InvalidInputError("b11, b12, b13 must be GF(2)-independent (a basis)")
         order = names if names is not None else PARAM_NAMES
         return cls(kind=kind, fixed=tuple((n, fixed[n]) for n in order if n in fixed))
@@ -197,45 +188,34 @@ def _solve_gf2(system: list[tuple[int, int]], unknown: int):
     over the columns set in `unknown`.
 
     Returns (particular solution, nullspace basis) as bitmasks over those
-    columns, or None if the system is inconsistent.
+    columns, or None if the system is inconsistent: echelon of the rows
+    row << 1 | bit has a pivot at bit 0.  A pivot's row holds no column
+    above its own, so one pass over the pivots in increasing order sets
+    each pivot column, in the particular solution (free columns 0) and in
+    the nullspace vector of each free column.
     """
-    pivots: dict[int, tuple[int, int]] = {}  # pivot column -> mutually reduced (row, bit)
-    for r, b in system:
-        for col, (pr, pb) in pivots.items():
-            if r >> col & 1:
-                r ^= pr
-                b ^= pb
-        if r == 0:
-            if b:
-                return None
-            continue
-        col = r.bit_length() - 1
-        for c2, (pr, pb) in list(pivots.items()):
-            if pr >> col & 1:
-                pivots[c2] = (pr ^ r, pb ^ b)
-        pivots[col] = (r, b)
-    particular = sum(1 << c for c, (_, b) in pivots.items() if b)
-    basis = []
-    for free in range(unknown.bit_length()):
-        if unknown >> free & 1 and free not in pivots:
-            vec = 1 << free
-            for c, (r, _) in pivots.items():
-                if r >> free & 1:
-                    vec |= 1 << c
-            basis.append(vec)
+    pivots, _ = phasespace.echelon([r << 1 | b for r, b in system])
+    if 0 in pivots:
+        return None
+    particular = 0
+    columns = range(unknown.bit_length())
+    basis = [1 << c for c in columns if unknown >> c & 1 and c + 1 not in pivots]
+    for top in sorted(pivots):
+        col = 1 << (top - 1)
+        below = pivots[top] >> 1 ^ col
+        if pivots[top] & 1 ^ (below & particular).bit_count() & 1:
+            particular |= col
+        basis = [v | col if (below & v).bit_count() & 1 else v for v in basis]
     return particular, basis
 
 
 def _solved_fixings(fixed: dict[str, int]):
     """Solve the twelve equations as GF(2) systems, one per sweep point.
 
-    omega(p_i, p_j) = tr(a_i*b_j) + tr(a_j*b_i) is unchanged when every
-    point's a and b are swapped, so either side can be swept: the free
-    coordinates of the side with fewer of them run over GF(8).  Once the
-    swept side s is known, equation k is linear in the other side's six
-    coordinates, packed as an 18-bit vector o (point j in bits 3j..3j+2):
-    its row is the XOR over its pairs of _TRACE_FORM[s_i] << 3j and
-    _TRACE_FORM[s_j] << 3i, and o's fixed bits move to the right-hand side.
+    The free coordinates of the side with fewer of them run over GF(8);
+    at each sweep point, phasespace.equation_rows gives the rows over the
+    other side's coordinates o, whose fixed bits move to the right-hand
+    side.
 
     Yields (swept side, 0 for a and 1 for b; the swept coordinates; o with
     its unknown bits zero; particular solution; nullspace basis) for each
@@ -250,13 +230,10 @@ def _solved_fixings(fixed: dict[str, int]):
     for values in product(gf8.ELEMENTS, repeat=len(slots)):
         for i, v in zip(slots, values):
             swept[i] = v
-        t = [_TRACE_FORM[v] for v in swept]
-        system = []
-        for pairs in _EQUATION_PAIRS:
-            row = 0
-            for i, j in pairs:
-                row ^= t[i] << 3 * j ^ t[j] << 3 * i
-            system.append((row & unknown, (row & known).bit_count() & 1))
+        system = [
+            (row & unknown, (row & known).bit_count() & 1)
+            for row in phasespace.equation_rows(swept)
+        ]
         solved = _solve_gf2(system, unknown)
         if solved is not None:
             yield (side, tuple(swept), known, *solved)
@@ -310,8 +287,8 @@ def enumerate_assignments(
 def solution_is_valid(seed: SeedSet) -> bool:
     """Seed whose table passes every validation flag, decided by the rule
     of the module docstring: the seed points are independent and the
-    twelve equations hold, so the seed is its own only extension."""
-    return seed.rank() == 6 and count_assignments(seed.params()) == 1
+    twelve equations hold."""
+    return seed.rank() == 6 and not phasespace.failing_equations(seed)
 
 
 def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Solution]:

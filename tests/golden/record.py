@@ -20,7 +20,7 @@ import random
 from pathlib import Path
 
 from mub3q import cli, gf8, reference, solver
-from mub3q.phasespace import PARAM_NAMES, greedy_basis
+from mub3q.phasespace import PARAM_NAMES, echelon
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 RNG_SEED = 20131
@@ -94,11 +94,11 @@ def _seeded_schemes(rng: random.Random, count: int) -> list[list[str]]:
             fixed = {n: rng.choice(TOKENS) for n in scheme.fixes}
             if kind == "no-axis":
                 break
-            basis = greedy_basis([gf8.from_token(fixed[n]) for n in ("b11", "b12", "b13")])
+            pivots, _ = echelon([gf8.from_token(fixed[n]) for n in ("b11", "b12", "b13")])
             if i >= count - 3:
-                if len(basis) < 3:
+                if len(pivots) < 3:
                     break
-            elif len(basis) == 3 and _count(dict(fixed, **dict.fromkeys(scheme.zeros, "0"))):
+            elif len(pivots) == 3 and _count(dict(fixed, **dict.fromkeys(scheme.zeros, "0"))):
                 break
         out.append(_scheme_argv(kind, fixed))
     return out

@@ -58,7 +58,7 @@ def test_verify_builds_nine_bases_without_purities(monkeypatch, capsys):
 
 def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypatch, capsys):
     counts = _counted(monkeypatch, (
-        (phasespace, "greedy_basis"),
+        (phasespace.SeedSet, "rank"),
         (solver, "solution_is_valid"),
         (phasespace, "validate_table"),
         (phasespace, "failing_equations"),
@@ -68,7 +68,7 @@ def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypa
     assert len(sols) == 368 and sum(s["valid"] for s in sols) == 16
     # one independence test of the six seed points per solution; neither
     # the table nor the equations are checked again
-    assert counts == {"greedy_basis": 368}
+    assert counts == {"rank": 368}
 
 
 @pytest.mark.parametrize("argv", [

@@ -149,6 +149,18 @@ def test_solve_scenario_file(tmp_path, capsys):
     assert [s["free"]["l3"] for s in json.loads(out)] == ["m3", "m5"]
 
 
+@pytest.mark.parametrize("flags", [["--l1", "m"], ["--fix", "a11=1"]], ids=["value-flag", "fix"])
+def test_solve_scenario_file_refuses_fixing_flags(tmp_path, capsys, flags):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "three-axes", "fixed": {"l1": "m2", "l2": "m6"}}))
+    code, out, err = run_cli(["solve", "--scenario-file", str(path), *flags], capsys)
+    assert code == 2 and out == ""
+    assert err == "usage error: give either --scenario-file or fixing flags, not both\n"
+    # the output and cost flags still go with a scenario file
+    code, out, _ = run_cli(["solve", "--scenario-file", str(path), "--allow-large", "--pretty"], capsys)
+    assert code == 0 and out.startswith("solution 1  valid=yes\n")
+
+
 @pytest.mark.parametrize(
     "scenario",
     [

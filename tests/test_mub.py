@@ -24,7 +24,7 @@ from mub3q.mub import (
     verify_mub_set,
 )
 from mub3q.pauli import OperatorClass, PauliOp, class_from_row, pauli_to_point
-from mub3q.phasespace import StriationTable, build_table, greedy_basis, pack
+from mub3q.phasespace import StriationTable, build_table, echelon, pack
 
 from conftest import seed_from_tokens, symplectic_image
 from oracles import (
@@ -167,7 +167,7 @@ def test_class_from_row_generators_span_sorted_rows(example_tables):
         for row in rows:
             cls = class_from_row(row)
             gens = [pack(pauli_to_point(op)) for op in cls.generator_ops()]
-            assert len(greedy_basis(gens)) == 3
+            assert len(echelon(gens)[0]) == 3
         report = verify_mub_set(StriationTable(rows=rows))
         assert report.passed
         assert report.structure == structure(table)

@@ -19,16 +19,16 @@ from mub3q.phasespace import (
     build_table,
     check_all_striation_conditions,
     commutes,
+    echelon,
     failing_equations,
     fit_curve,
-    greedy_basis,
     linearized_eval,
     render_grid,
     row_generators,
     validate_table,
 )
 
-from conftest import PRINTED_EQUATIONS, seed_from_tokens, tk
+from conftest import PRINTED_EQUATIONS, seed_from_tokens, symplectic_image, tk
 from oracles import span_greedy_basis
 
 ALL_POINTS = [(a, b) for a in range(8) for b in range(8)]
@@ -166,6 +166,30 @@ def test_twelve_equations_perturbed_seed_fails():
     assert failing
 
 
+def _printed_side(terms, params) -> int:
+    acc = 0
+    for p, q in terms:
+        acc ^= gf8.MUL[params[p]][params[q]]
+    return gf8.TRACE[acc]
+
+
+_ARBITRARY_SEEDS = st.lists(st.integers(0, 7), min_size=12, max_size=12).map(
+    lambda v: SeedSet(tuple(zip(v[0:6:2], v[1:6:2])), tuple(zip(v[6::2], v[7::2])))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_ARBITRARY_SEEDS, st.lists(st.integers(1, 63), max_size=4).map(symplectic_image)))
+def test_failing_equations_are_the_printed_equations_that_fail(seed):
+    # arbitrary seeds fail some equations; transvected valid seeds fail none
+    params = seed.params()
+    expected = [
+        k for k, (lhs, rhs) in enumerate(PRINTED_EQUATIONS, start=1)
+        if _printed_side(lhs, params) != _printed_side(rhs, params)
+    ]
+    assert failing_equations(seed) == expected
+
+
 # The fifteen symplectic products omega(p_i, p_j), i < j, of the seed points.
 PAIRS = list(combinations(range(1, 7), 2))
 
@@ -219,7 +243,7 @@ def test_equations_span_the_row_commutation_conditions():
     equations = _equation_masks()
     assert (len(first_three), len(in_row)) == (27, 189)
     # the 12 equations are independent and span every in-row condition
-    ranks = [len(greedy_basis(m)) for m in (equations, first_three, in_row, equations + in_row)]
+    ranks = [len(echelon(m)[0]) for m in (equations, first_three, in_row, equations + in_row)]
     assert ranks == [12, 12, 12, 12]
 
 
@@ -239,7 +263,7 @@ def test_forms_satisfying_the_equations_are_nondegenerate():
             if f >> bit & 1:
                 gram[i - 1] |= 1 << (j - 1)
                 gram[j - 1] |= 1 << (i - 1)
-        assert len(greedy_basis(gram)) == 6
+        assert len(echelon(gram)[0]) == 6
 
 
 @st.composite
@@ -254,7 +278,9 @@ def _vector_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(_vector_lists())
 def test_greedy_basis_matches_span_oracle(vectors):
-    assert greedy_basis(vectors) == span_greedy_basis(vectors)
+    pivots, kept = echelon(vectors)
+    assert [vectors[i] for i in kept] == span_greedy_basis(vectors)
+    assert len(pivots) == len(kept) and all(v.bit_length() == top + 1 for top, v in pivots.items())
 
 
 # ---------------------------------------------------------------------------

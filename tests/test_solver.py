@@ -1,6 +1,7 @@
 """Solvers for the twelve equations: reference examples, cross-checks, guards."""
 
 import json
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,7 @@ from mub3q.solver import (
     InvalidInputError,
     SCHEMES,
     Scenario,
+    _solve_gf2,
     count_assignments,
     enumerate_assignments,
     solve_generic,
@@ -27,6 +29,7 @@ from mub3q.solver import (
 )
 
 from conftest import PRINTED_EQUATIONS, tk
+from oracles import span_greedy_basis
 
 NONZERO = gf8.ELEMENTS[1:]
 
@@ -434,6 +437,76 @@ def test_solution_ceiling_refuses_empty_fixing():
     # 43,033,600 solutions: refused even with allow_large, before listing any
     with pytest.raises(CostGuardError, match="8\\^7"):
         enumerate_assignments({}, allow_large=True)
+
+
+def _span(start: int, vectors) -> set[int]:
+    out = {start}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return out
+
+
+@st.composite
+def _gf2_systems(draw):
+    # unknown columns: up to 3 of the 6 packed coordinates; rows from a
+    # small pool holding 0, so that 0 = 1 rows and repeats are common
+    slots = draw(st.lists(st.integers(0, 5), max_size=3, unique=True))
+    unknown = sum(7 << 3 * j for j in slots)
+    rows = st.integers(0, (1 << 18) - 1).map(unknown.__and__)
+    pool = [0] + draw(st.lists(rows, min_size=1, max_size=5))
+    system = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 1)), max_size=12))
+    return system, unknown
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gf2_systems())
+def test_solve_gf2_matches_brute_force(args):
+    system, unknown = args
+    columns = [1 << c for c in range(18) if unknown >> c & 1]
+    satisfying = {
+        x for x in _span(0, columns)
+        if all((row & x).bit_count() % 2 == bit for row, bit in system)
+    }
+    solved = _solve_gf2(system, unknown)
+    if not satisfying:
+        assert solved is None
+        return
+    particular, basis = solved
+    span = _span(particular, basis)
+    assert span == satisfying
+    assert len(span) == 1 << len(basis)  # the basis is independent
+
+
+def _commute(p: int, q: int) -> bool:
+    return gf8.TRACE[gf8.MUL[p >> 3][q & 7]] == gf8.TRACE[gf8.MUL[q >> 3][p & 7]]
+
+
+@st.composite
+def _lagrangian_bases(draw):
+    """An ordered basis of a Lagrangian: 3 independent, pairwise-commuting
+    packed points, each drawn among the points that commute with those
+    before it and lie outside their span."""
+    basis = []
+    for _ in range(3):
+        span = _span(0, basis)
+        choices = [x for x in range(64) if x not in span and all(_commute(x, p) for p in basis)]
+        basis.append(draw(st.sampled_from(choices)))
+    return basis
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lagrangian_bases())
+def test_lagrangian_row_one_has_the_closed_form_counts(basis):
+    # 448 = 7*|Sp(6,2)| valid seeds / 22,680 ordered Lagrangian bases; the
+    # other 512 solutions put row 2 inside row 1's span
+    fixed = {}
+    for c, x in enumerate(basis, start=1):
+        fixed[f"a1{c}"], fixed[f"b1{c}"] = x >> 3, x & 7
+    sols = solve_generic(fixed)
+    ranks = [len(span_greedy_basis([a << 3 | b for a, b in s.seed.points()])) for s in sols]
+    assert Counter(ranks) == {3: 512, 6: 448}
+    assert [s.valid for s in sols] == [r == 6 for r in ranks]
+    assert count_assignments(fixed) == 960
 
 
 # ---------------------------------------------------------------------------
