@@ -15,7 +15,9 @@ which lists every solution and no others.
 Solutions are returned in a fixed order: free parameters are sorted in
 canonical parameter order, each by the element display order, so the
 output is lexicographically sorted.  Assignments whose seed points are
-GF(2)-dependent are returned with valid=False rather than dropped.
+GF(2)-dependent are returned with valid=False rather than dropped.  The
+one form of a listed solution is an int, its key (see Solution), and
+integer order is that order.
 
 A solution is valid exactly when its six seed points are GF(2)-independent.
 Every table point is the sum of the seed points that its coefficient
@@ -24,8 +26,21 @@ nonzero vectors once each; so the 63 points are distinct and nonzero,
 each row plus the origin a 3-dimensional subspace and the 9 rows a
 partition, iff the seed points are independent.  The twelve equations
 are the row-commutation conditions, and every solution satisfies them.
-Validity is therefore one rank test per solution (SeedSet.rank);
-solution_is_valid and build_table add failing_equations for any seed.
+solution_is_valid and build_table test the rank (SeedSet.rank) and add
+failing_equations for any seed.
+
+For a solution the rank is read off the symplectic form pulled back to
+GF(2)^6, f(e_i, e_j) = omega(p_i, p_j).  The twelve equations are linear
+in f, and the forms that satisfy them are 0 and seven nondegenerate ones
+(test_forms_satisfying_the_equations_are_nondegenerate).  If the seed map
+T: e_i -> p_i is injective it is a bijection onto GF(8)^2, so f is the
+nondegenerate omega carried over by T and is not 0.  If T v = 0 for some
+v != 0, then f(v, .) = omega(T v, T .) = 0, so f is degenerate and hence
+0.  So a solution is valid iff f is not 0.  Rows 1 and 2 are isotropic
+(equations 1-6), so f is not 0 iff some point of row 2 anticommutes with
+some point of row 1: iff C = PERP[x1] & PERP[x2] & PERP[x3] misses x4,
+x5 or x6, for the packed points x1..x6.  This is _form_is_nonzero, one
+table test per solution with no elimination.
 """
 
 from __future__ import annotations
@@ -66,11 +81,39 @@ SCENARIO_KINDS = tuple(SCHEMES)
 MAX_FREE_DEFAULT = 6  # 8^6 assignments; anything larger needs allow_large
 
 MAX_SOLUTIONS = 8**7  # output ceiling, whatever allow_large says
+# Memory budget: a listed solution holds about 105 bytes (its key int, its
+# Solution tuple and their list slots) and peaks at about 115 during the
+# solve, so the ceiling would need about 250 MB (estimated, not run).
+# `solve` of 622,592 solutions peaks at 84 MB RSS, import included; the CI
+# step "Bounded solve memory" requires at most 128 MB.
 
-# Compact JSON text of each element's token and of each point packed as
-# a << 3 | b, from which Solution.json_text is joined.
-_TOKEN_TEXT = tuple(f'"{t}"' for t in gf8.TOKEN_OF)
-_POINT_TEXT = tuple(f"[{_TOKEN_TEXT[x >> 3]},{_TOKEN_TEXT[x & 7]}]" for x in range(64))
+# _SHIFT[n] is the shift of n's digit in a solution key (see Solution);
+# l3, the three-axes free name, is read as b13.  Seed point i is the
+# 6-bit chunk key >> 6*(5-i) & 63; coordinate j of side s (0: the a's,
+# 1: the b's) has shift 33 - 6*j - 3*s.
+_SHIFT = {n: 33 - 3 * i for i, n in enumerate(PARAM_NAMES)}
+_SHIFT["l3"] = _SHIFT["b13"]
+
+# Per chunk: its point (a, b) and the point packed as a << 3 | b.
+_CHUNK_POINT = tuple((gf8.ELEMENTS[c >> 3], gf8.ELEMENTS[c & 7]) for c in range(64))
+_CHUNK_PACKED = tuple(map(phasespace.pack, _CHUNK_POINT))
+
+# Compact JSON text, per digit, of a token and of each free name's entry,
+# and per chunk of a point, from which Solution.json_text is joined.
+_TOKEN_TEXT = tuple(f'"{t}"' for t in gf8.TOKENS)
+_FREE_TEXT = {n: tuple(f'"{n}":{t}' for t in _TOKEN_TEXT) for n in _SHIFT}
+_CHUNK_TEXT = tuple(f"[{_TOKEN_TEXT[c >> 3]},{_TOKEN_TEXT[c & 7]}]" for c in range(64))
+
+
+def _spread(side: int, j: int) -> tuple[int, ...]:
+    """The key digits of coordinates j, j+1, j+2 of one side, indexed by
+    their 9 bits as the sweep packs them."""
+    x, y, z = ([gf8.ORDER_KEY[v] << 33 - 6 * i - 3 * side for v in range(8)]
+               for i in range(j, j + 3))
+    return tuple(dx | dy | dz for dz in z for dy in y for dx in x)
+
+
+_SPREAD = tuple((_spread(side, 0), _spread(side, 3)) for side in (0, 1))
 
 
 class InvalidInputError(ValueError):
@@ -148,39 +191,60 @@ class Scenario:
         return cls.make(obj["kind"], fixed)
 
 
-@dataclass(frozen=True)
-class Solution:
-    """One satisfying assignment: the full seed, the solved values, validity."""
+def _form_is_nonzero(key: int) -> bool:
+    """Validity of a solution key, by the form rule of the module
+    docstring: some point of row 2 anticommutes with some point of row 1."""
+    x, perp = _CHUNK_PACKED, phasespace.PERP
+    c = perp[x[key >> 30]] & perp[x[key >> 24 & 63]] & perp[x[key >> 18 & 63]]
+    return not c >> x[key >> 12 & 63] & c >> x[key >> 6 & 63] & c >> x[key & 63] & 1
 
-    seed: SeedSet
-    free: tuple[tuple[str, int], ...]
-    valid: bool
+
+class Solution(NamedTuple):
+    """One satisfying assignment: its key and the names solved for.
+
+    The key is a 36-bit int that holds the gf8.ORDER_KEY digit of each of
+    the 12 values, 3 bits each, in PARAM_NAMES order with a11 most
+    significant, so integer order is output order.  The seed, the solved
+    values and validity (by the form rule of the module docstring) are
+    read off the key; json_text joins its text from the module's tables.
+    """
+
+    key: int
+    names: tuple[str, ...]
+
+    @property
+    def seed(self) -> SeedSet:
+        points = [_CHUNK_POINT[self.key >> s & 63] for s in (30, 24, 18, 12, 6, 0)]
+        return SeedSet(row1=tuple(points[:3]), row2=tuple(points[3:]))
+
+    @property
+    def free(self) -> tuple[tuple[str, int], ...]:
+        return tuple((n, gf8.ELEMENTS[self.key >> _SHIFT[n] & 7]) for n in self.names)
+
+    @property
+    def valid(self) -> bool:
+        return _form_is_nonzero(self.key)
 
     def free_values(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.free)
 
     def to_json(self) -> dict:
-        # The solver built every value from GF(8), so the token table is
-        # read without gf8.to_token's element check.
-        tok = gf8.TOKEN_OF
         return {
-            "free": {n: tok[v] for n, v in self.free},
-            "seed": {
-                "row1": [[tok[a], tok[b]] for a, b in self.seed.row1],
-                "row2": [[tok[a], tok[b]] for a, b in self.seed.row2],
-            },
+            "free": {n: gf8.to_token(v) for n, v in self.free},
+            "seed": self.seed.to_json(),
             "valid": self.valid,
         }
 
     def json_text(self) -> str:
-        """to_json() as compact JSON text, joined from the token tables."""
-        free = ",".join(f'"{n}":{_TOKEN_TEXT[v]}' for n, v in self.free)
-        row1, row2 = (
-            ",".join([_POINT_TEXT[a << 3 | b] for a, b in row])
-            for row in (self.seed.row1, self.seed.row2)
+        """to_json() as compact JSON text, joined from the text tables."""
+        k, t = self.key, _CHUNK_TEXT
+        free = ",".join([_FREE_TEXT[n][k >> _SHIFT[n] & 7] for n in self.names])
+        valid = "true" if _form_is_nonzero(k) else "false"
+        return (
+            f'{{"free":{{{free}}},"seed":{{"row1":[{t[k >> 30]},{t[k >> 24 & 63]},'
+            f'{t[k >> 18 & 63]}],"row2":[{t[k >> 12 & 63]},{t[k >> 6 & 63]},{t[k & 63]}]}},'
+            f'"valid":{valid}}}'
         )
-        valid = "true" if self.valid else "false"
-        return f'{{"free":{{{free}}},"seed":{{"row1":[{row1}],"row2":[{row2}]}},"valid":{valid}}}'
 
 
 def _solve_gf2(system: list[tuple[int, int]], unknown: int):
@@ -246,16 +310,14 @@ def count_assignments(fixed: dict[str, int]) -> int:
     return sum(1 << len(basis) for *_, basis in _solved_fixings(fixed))
 
 
-def enumerate_assignments(
-    fixed: dict[str, int], *, allow_large: bool = False
-) -> list[dict[str, int]]:
-    """All full 12-parameter assignments extending `fixed` that satisfy
-    the twelve equations, in lexicographic order, keys in PARAM_NAMES order.
+def enumerate_assignments(fixed: dict[str, int], *, allow_large: bool = False) -> list[int]:
+    """The keys (see Solution) of all full 12-parameter assignments extending
+    `fixed` that satisfy the twelve equations, in increasing order, which
+    is lexicographic order by the element display order.
 
-    Free parameters run in canonical order, each over the element
-    display order.  More than MAX_FREE_DEFAULT free parameters is
-    refused unless allow_large is set.  More than MAX_SOLUTIONS
-    solutions is always refused, before any of them is listed.
+    More than MAX_FREE_DEFAULT free parameters is refused unless
+    allow_large is set.  More than MAX_SOLUTIONS solutions is always
+    refused, before any of them is listed.
     """
     free = Scenario.make("generic", fixed).free_names()
     if len(free) > MAX_FREE_DEFAULT and not allow_large:
@@ -271,17 +333,18 @@ def enumerate_assignments(
                 f"more than {MAX_SOLUTIONS} (8^7) solutions; fix more parameters"
             )
         systems.append(system)
-    solutions, values = [], [0] * 12  # values in PARAM_NAMES order: a11, b11, ...
+    keys = []
     for side, swept, known, particular, basis in systems:
+        # the swept side's digits once per system, the other side's 18
+        # bits o through two 9-bit lookups per solution
+        swept_digits = sum(gf8.ORDER_KEY[v] << 33 - 6 * j - 3 * side for j, v in enumerate(swept))
+        low, high = _SPREAD[1 - side]
         span = [known | particular]
         for vec in basis:
-            span += [x ^ vec for x in span]
-        values[side::2] = swept
-        for o in span:
-            values[1 - side::2] = [o >> 3 * j & 7 for j in range(6)]
-            solutions.append(tuple(values))
-    solutions.sort(key=lambda values: tuple(map(gf8.ORDER_KEY.__getitem__, values)))
-    return [dict(zip(PARAM_NAMES, values)) for values in solutions]
+            span += [o ^ vec for o in span]
+        keys += [swept_digits | low[o & 511] | high[o >> 9] for o in span]
+    keys.sort()
+    return keys
 
 
 def solution_is_valid(seed: SeedSet) -> bool:
@@ -294,19 +357,13 @@ def solution_is_valid(seed: SeedSet) -> bool:
 def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Solution]:
     """Solve a scenario: enumerate the twelve equations over the names its
     pinned values leave free.  Three-axes keeps the assignments with
-    b13 = a23 and reports that value as l3."""
-    three_axes = scenario.kind == "three-axes"
+    b13 = a23, compared as key digits, and reports that value as l3."""
+    keys = enumerate_assignments(scenario.pinned(), allow_large=allow_large)
+    if scenario.kind == "three-axes":
+        b13, a23 = _SHIFT["b13"], _SHIFT["a23"]
+        keys = [k for k in keys if k >> b13 & 7 == k >> a23 & 7]
     names = scenario.free_names()
-    out = []
-    for p in enumerate_assignments(scenario.pinned(), allow_large=allow_large):
-        if three_axes and p["b13"] != p["a23"]:
-            continue
-        v = tuple(p.values())
-        points = tuple(zip(v[::2], v[1::2]))
-        seed = SeedSet(row1=points[:3], row2=points[3:])
-        free = (("l3", p["b13"]),) if three_axes else tuple((n, p[n]) for n in names)
-        out.append(Solution(seed=seed, free=free, valid=seed.rank() == 6))
-    return out
+    return [Solution(k, names) for k in keys]
 
 
 def solve_generic(fixed: dict[str, int], *, allow_large: bool = False) -> list[Solution]:

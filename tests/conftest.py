@@ -34,6 +34,14 @@ def tk(token: str) -> int:
     return gf8.from_token(token)
 
 
+def decode_key(key: int) -> dict[str, int]:
+    """The assignment a solution key of solver.enumerate_assignments holds:
+    the display-order index of each value, 3 bits each, in PARAM_NAMES
+    order with a11 most significant."""
+    names = phasespace.PARAM_NAMES
+    return {n: gf8.ELEMENTS[key >> 3 * (11 - i) & 7] for i, n in enumerate(names)}
+
+
 def seed_from_tokens(row1, row2) -> phasespace.SeedSet:
     return phasespace.SeedSet(
         row1=tuple((tk(a), tk(b)) for a, b in row1),

@@ -21,7 +21,7 @@ from mub3q.phasespace import (
     check_all_striation_conditions,
 )
 
-from conftest import tk
+from conftest import decode_key, tk
 
 NONZERO = gf8.ELEMENTS[1:]
 
@@ -208,7 +208,7 @@ def test_criterion_09_equations_imply_striation_conditions():
             "a21": 1,
         })
     for fixed in sweeps:
-        for assignment in solver.enumerate_assignments(fixed):
+        for assignment in map(decode_key, solver.enumerate_assignments(fixed)):
             seed = SeedSet.from_params(assignment)
             seeds += 1
             table = build_table(seed, check_seed=False)

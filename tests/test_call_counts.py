@@ -58,6 +58,7 @@ def test_verify_builds_nine_bases_without_purities(monkeypatch, capsys):
 
 def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypatch, capsys):
     counts = _counted(monkeypatch, (
+        (solver, "_form_is_nonzero"),
         (phasespace.SeedSet, "rank"),
         (solver, "solution_is_valid"),
         (phasespace, "validate_table"),
@@ -66,9 +67,9 @@ def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypa
     assert cli.main(GENERIC_SIX) == 0
     sols = json.loads(capsys.readouterr().out)
     assert len(sols) == 368 and sum(s["valid"] for s in sols) == 16
-    # one independence test of the six seed points per solution; neither
+    # one form test of the solution key per solution; neither the rank,
     # the table nor the equations are checked again
-    assert counts == {"rank": 368}
+    assert counts == {"_form_is_nonzero": 368}
 
 
 @pytest.mark.parametrize("argv", [

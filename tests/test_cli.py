@@ -479,6 +479,26 @@ def test_module_entry_point_subprocess():
     assert json.loads(result.stdout)[0]["free"] == {"l3": "m3"}
 
 
+def test_large_solve_runs_in_bounded_memory():
+    # 68,608 solutions, 14.7 MB of JSON.  The solve runs in a grandchild,
+    # so the peak RSS the child reads for its children is the solve's
+    # alone, whatever else this test process has waited for.
+    argv = ["solve", "--scenario", "generic", "--allow-large",
+            "--fix", "a11=1", "--fix", "b11=m", "--fix", "a12=m2"]
+    measure = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", measure, sys.executable, "-m", "mub3q", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    code, max_rss_kb = map(int, result.stdout.split())
+    assert code == 0
+    assert max_rss_kb <= 64 * 1024
+
+
 # About 330 KB of JSON, more than a pipe buffer holds: the child is still
 # writing when the reader closes the pipe after 100 characters.
 _LARGE_SOLVE = ["solve", "--scenario", "generic", "--allow-large", *(w for pair in (

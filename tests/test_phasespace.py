@@ -28,7 +28,7 @@ from mub3q.phasespace import (
     validate_table,
 )
 
-from conftest import PRINTED_EQUATIONS, seed_from_tokens, symplectic_image, tk
+from conftest import PRINTED_EQUATIONS, decode_key, seed_from_tokens, symplectic_image, tk
 from oracles import span_greedy_basis
 
 ALL_POINTS = [(a, b) for a in range(8) for b in range(8)]
@@ -540,8 +540,8 @@ def test_equations_imply_striation_conditions_two_axes_sweep():
             "a11": 0, "b11": b1, "a12": 0, "b12": b2, "a13": 0, "b13": b3,
             "a21": 1, "b21": 0, "b22": 0, "b23": 0,
         }
-        for assignment in enumerate_assignments(fixed):
-            seed = SeedSet.from_params(assignment)
+        for key in enumerate_assignments(fixed):
+            seed = SeedSet.from_params(decode_key(key))
             assert check_all_striation_conditions(build_table(seed, check_seed=False))
             checked += 1
     assert checked > 100

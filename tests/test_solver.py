@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mub3q import gf8, reference
@@ -16,6 +16,7 @@ from mub3q.solver import (
     InvalidInputError,
     SCHEMES,
     Scenario,
+    _form_is_nonzero,
     _solve_gf2,
     count_assignments,
     enumerate_assignments,
@@ -28,7 +29,7 @@ from mub3q.solver import (
     solution_is_valid,
 )
 
-from conftest import PRINTED_EQUATIONS, tk
+from conftest import PRINTED_EQUATIONS, decode_key, tk
 from oracles import span_greedy_basis
 
 NONZERO = gf8.ELEMENTS[1:]
@@ -266,7 +267,7 @@ def test_generic_matches_sequential_enumeration():
             params = dict(fixed, a22=a22, a23=a23)
             if not failing_equations(SeedSet.from_params(params)):
                 expected.append((a22, a23))
-    got = [(a["a22"], a["a23"]) for a in enumerate_assignments(fixed)]
+    got = [(a["a22"], a["a23"]) for a in map(decode_key, enumerate_assignments(fixed))]
     assert got == expected
 
 
@@ -374,7 +375,9 @@ def _partial_fixings(draw):
 @settings(max_examples=60, deadline=None)
 @given(_partial_fixings())
 def test_enumerate_matches_brute_force(fixed):
-    assert enumerate_assignments(fixed) == _brute_force(fixed)
+    keys = enumerate_assignments(fixed)
+    assert list(map(decode_key, keys)) == _brute_force(fixed)
+    assert all(x < y for x, y in zip(keys, keys[1:]))
 
 
 def _swap_sides(assignment: dict) -> dict:
@@ -397,10 +400,13 @@ def _fixings_of_six_or_more(draw):
 def test_swapping_a_and_b_swaps_the_solutions(fixed):
     # omega is unchanged when every point's a and b are swapped, so the
     # solver may sweep either side
-    solutions = enumerate_assignments(fixed)
-    swapped = enumerate_assignments(_swap_sides(fixed))
+    keys = enumerate_assignments(fixed)
+    swapped_keys = enumerate_assignments(_swap_sides(fixed))
+    solutions = list(map(decode_key, keys))
+    swapped = list(map(decode_key, swapped_keys))
     assert swapped == sorted(map(_swap_sides, solutions), key=_lex_key)
-    assert all(list(a) == list(PARAM_NAMES) for a in solutions + swapped)
+    for k in (keys, swapped_keys):
+        assert all(x < y for x, y in zip(k, k[1:]))
 
 
 _TWO_AXES_SEED = {
@@ -422,9 +428,10 @@ _TWO_AXES_SEED = {
 )
 def test_enumerate_matches_brute_force_on_sides_and_full_seeds(free, overrides, count):
     fixed = {n: v for n, v in {**_TWO_AXES_SEED, **overrides}.items() if n not in free}
-    solutions = enumerate_assignments(fixed)
-    assert solutions == _brute_force(fixed)
-    assert len(solutions) == count
+    keys = enumerate_assignments(fixed)
+    assert list(map(decode_key, keys)) == _brute_force(fixed)
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    assert len(keys) == count
 
 
 def test_count_matches_enumeration_on_eight_free():
@@ -537,17 +544,16 @@ def _generic_fixings(draw):
 @settings(max_examples=30, deadline=None)
 @given(_generic_fixings())
 def test_validity_rule_matches_oracle_on_solutions(fixed):
-    for assignment in enumerate_assignments(fixed):
-        seed = SeedSet.from_params(assignment)
+    for key in enumerate_assignments(fixed):
+        seed = SeedSet.from_params(decode_key(key))
         assert solution_is_valid(seed) == _validity_oracle(seed)
 
 
 def test_validity_rule_matches_oracle_on_mixed_solution_set():
     fixed = {"a11": tk("m2"), "b11": tk("m5"), "b12": tk("m3"), "b13": tk("1"), "a21": tk("m3")}
-    verdicts = [
-        (solution_is_valid(seed), _validity_oracle(seed))
-        for seed in map(SeedSet.from_params, enumerate_assignments(fixed, allow_large=True))
-    ]
+    keys = enumerate_assignments(fixed, allow_large=True)
+    seeds = [SeedSet.from_params(decode_key(key)) for key in keys]
+    verdicts = [(solution_is_valid(seed), _validity_oracle(seed)) for seed in seeds]
     assert all(fast == slow for fast, slow in verdicts)
     assert 0 < sum(fast for fast, _ in verdicts) < len(verdicts) == 848
 
@@ -665,6 +671,22 @@ def _scheme_scenarios(draw):
 @given(_scheme_scenarios())
 def test_scheme_solutions_valid_and_json_match_oracles(scenario):
     _check_solutions(solve_scenario(scenario))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_scheme_scenarios(), _generic_fixings().map(
+    lambda fixed: Scenario.make("generic", fixed))))
+@example(Scenario.make("three-axes", {"l1": tk("m2"), "l2": tk("m6")}))
+@example(Scenario.make("generic", {
+    "a11": tk("m2"), "b11": tk("m5"), "b12": tk("m3"), "b13": tk("1"), "a21": tk("m3"),
+    "b22": tk("m2"), "b23": tk("m6"),
+}))
+def test_form_rule_matches_rank_on_solutions(scenario):
+    # the key's form test against the elimination and the span oracle
+    for sol in solve_scenario(scenario):
+        rank = len(span_greedy_basis([a << 3 | b for a, b in sol.seed.points()]))
+        assert _form_is_nonzero(sol.key) == (sol.seed.rank() == 6) == (rank == 6)
+        assert sol.valid == (rank == 6)
 
 
 @st.composite
