@@ -3,11 +3,12 @@
 A point (a, b) labels a three-qubit Pauli operator; two points commute
 (in the operator sense) iff tr(a1*b2) = tr(a2*b1).  Inside the module a
 point is the 6-bit int pack(p) = a << 3 | b, added by XOR, and PERP[x]
-masks the points that commute with x.  Six seed points --
-three per row -- extend by additive recursion to a table of 9 rows of 7
-points each, the striation-generating curves.  A valid table
-partitions the 63 nonzero points into 9 rows that are each, together
-with the origin, a 3-dimensional GF(2) subspace of GF(8)^2.
+masks the points that commute with x.  Six seed points -- three per row
+-- map to a table of 9 rows of 7 points each, the striation-generating
+curves: position (r, c) sums the seed points that COEFFICIENTS[r][c]
+selects.  A valid table partitions the 63 nonzero points into 9 rows
+that are each, together with the origin, a 3-dimensional GF(2) subspace
+of GF(8)^2.
 
 Twelve trace equations on the seed parameters are necessary and
 sufficient for the internal commutation of all 9 rows.  equation_rows
@@ -15,8 +16,8 @@ makes them GF(2) rows over one coordinate side of the seed, given the
 other, for failing_equations and the solver; echelon is the one GF(2)
 elimination.  A seed is valid iff it satisfies the equations and its six
 points have GF(2) rank 6 (SeedSet.rank; see the solver module for the
-proof); build_table checks it by default.  A striation row is 7
-distinct nonzero commuting points (row_generators, the one rule).  With
+proof); build_table checks it.  A striation row is 7 distinct nonzero
+commuting points (row_generators, the one rule).  With
 the origin it is a Lagrangian subspace of GF(8)^2 under the symplectic
 form omega(p, q) = tr(a1*b2 + a2*b1), so fit_curve gives it an exact
 curve relation l0*b + l1*b^2 + l2*b^4 = m0*a + m1*a^2 + m2*a^4.
@@ -68,6 +69,16 @@ TWELVE_EQUATIONS: tuple[tuple[tuple[int, int], ...], ...] = (
 
 _EQUATION_PAIRS = tuple(tuple((i - 1, j - 1) for i, j in pairs) for pairs in TWELVE_EQUATIONS)
 
+# Bit i of COEFFICIENTS[r][c] selects seed point i + 1 for table position
+# (r + 1, c + 1).  Read as the point (v & 7, v >> 3), column c of a row is
+# mu^c times its first entry: the rows are the 9 GF(8)-lines through the
+# origin, and the 63 entries are 1..63 once each.
+COEFFICIENTS: tuple[tuple[int, ...], ...] = (
+    gf8.EXP,
+    tuple(x << 3 for x in gf8.EXP),
+    *(tuple(gf8.EXP[c] << 3 | gf8.EXP[(c + s) % 7] for c in range(7)) for s in range(7)),
+)
+
 # Bit j of TRACE_FORM[c] is tr(c * 2^j), so tr(c*u) is the parity of TRACE_FORM[c] & u.
 TRACE_FORM = tuple(sum(TRACE[MUL[c][1 << j]] << j for j in range(3)) for c in range(8))
 
@@ -98,10 +109,6 @@ class InvalidTableError(ValueError):
 
 class AnticommutingRowError(InvalidTableError):
     """A supposed commuting row or class contains a non-commuting pair."""
-
-
-def add_points(p: Point, q: Point) -> Point:
-    return (p[0] ^ q[0], p[1] ^ q[1])
 
 
 def commutes(p: Point, q: Point) -> bool:
@@ -231,31 +238,20 @@ class StriationTable:
         return [[point_to_json(p) for p in row] for row in self.rows]
 
 
-def build_table(seed: SeedSet, *, check_seed: bool = True) -> StriationTable:
-    """Extend the six seed points to the full 9x7 table.
-
-    Rows 1-2 continue with p_c = p_{c-2} + p_{c-3} for c = 4..7; rows
-    3..9 are p^{(r)}_c = p^{(2)}_c + p^{(1)}_{c+r-3} with the row-1
-    column index wrapped back into 1..7 modulo 7.  By default the seed
-    must be valid: the twelve equations first, then rank 6.
-    """
-    if check_seed:
-        failing = failing_equations(seed)
-        if failing:
-            raise InvalidSeedError(f"seed fails equation {failing[0]} of 12")
-        rank = seed.rank()
-        if rank < 6:
-            raise InvalidSeedError(f"seed points are GF(2)-dependent: rank {rank} of 6")
-    rows = []
-    for base in (seed.row1, seed.row2):
-        pts = list(base)
-        for c in range(3, 7):
-            pts.append(add_points(pts[c - 2], pts[c - 3]))
-        rows.append(pts)
-    row1, row2 = rows
-    for shift in range(7):  # rows 3..9
-        rows.append(list(map(add_points, row2, row1[shift:] + row1[:shift])))
-    return StriationTable(rows=tuple(map(tuple, rows)))
+def build_table(seed: SeedSet) -> StriationTable:
+    """The 9x7 table of a valid seed, whose position (r, c) sums the seed
+    points that COEFFICIENTS[r][c] selects.  InvalidSeedError names the
+    first check the seed fails: the twelve equations, then rank 6."""
+    failing = failing_equations(seed)
+    if failing:
+        raise InvalidSeedError(f"seed fails equation {failing[0]} of 12")
+    rank = seed.rank()
+    if rank < 6:
+        raise InvalidSeedError(f"seed points are GF(2)-dependent: rank {rank} of 6")
+    sums = [ORIGIN]  # sums[v]: the sum of the seed points that v selects
+    for a, b in seed.points():
+        sums += [(a ^ x, b ^ y) for x, y in sums]
+    return StriationTable(rows=tuple(tuple(sums[v] for v in row) for row in COEFFICIENTS))
 
 
 def check_all_striation_conditions(table: StriationTable) -> bool:

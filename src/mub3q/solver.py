@@ -22,9 +22,10 @@ integer order is that order.
 A solution is valid exactly when its six seed points are GF(2)-independent.
 Every table point is the sum of the seed points that its coefficient
 vector in GF(2)^6 selects, and the 63 table positions carry the 63
-nonzero vectors once each; so the 63 points are distinct and nonzero,
-each row plus the origin a 3-dimensional subspace and the 9 rows a
-partition, iff the seed points are independent.  The twelve equations
+nonzero vectors once each (phasespace.COEFFICIENTS, whose rows are the 9
+GF(8)-lines through the origin); so the 63 points are distinct and
+nonzero, each row plus the origin a 3-dimensional subspace and the 9
+rows a partition, iff the seed points are independent.  The twelve equations
 are the row-commutation conditions, and every solution satisfies them.
 solution_is_valid and build_table test the rank (SeedSet.rank) and add
 failing_equations for any seed.

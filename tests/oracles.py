@@ -6,9 +6,9 @@ These are the independent checks of those results: the separability
 label recomputed numerically from the purities of the single-qubit
 reduced states (exactly 1 or 1/2 for stabilizer states), the
 unbiasedness and orthonormality defects of single bases and pairs, and
-the commuting class built by multiplying three generators, and the
-greedy basis found by growing the span as a set.  No library code calls
-them.
+the commuting class built by multiplying three generators, the greedy
+basis found by growing the span as a set, and the striation table built
+by the paper's additive recursion.  No library code calls them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from mub3q.mub import Basis, SeparabilityError, _label_of_pure_count
 from mub3q.pauli import OperatorClass, PauliOp, commutes_op, multiply
-from mub3q.phasespace import AnticommutingRowError
+from mub3q.phasespace import AnticommutingRowError, Point, SeedSet, StriationTable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,3 +108,26 @@ def span_greedy_basis(vectors) -> list[int]:
             basis.append(v)
             span |= {v ^ s for s in span}
     return basis
+
+
+def add_points(p: Point, q: Point) -> Point:
+    return (p[0] ^ q[0], p[1] ^ q[1])
+
+
+def recursive_table(seed: SeedSet) -> StriationTable:
+    """The 9x7 table of any seed, valid or not, by the paper's recursion.
+
+    Rows 1-2 continue with p_c = p_{c-2} + p_{c-3} for c = 4..7; rows
+    3..9 are p^{(r)}_c = p^{(2)}_c + p^{(1)}_{c+r-3} with the row-1
+    column index wrapped back into 1..7 modulo 7.
+    """
+    rows = []
+    for base in (seed.row1, seed.row2):
+        pts = list(base)
+        for c in range(3, 7):
+            pts.append(add_points(pts[c - 2], pts[c - 3]))
+        rows.append(pts)
+    row1, row2 = rows
+    for shift in range(7):  # rows 3..9
+        rows.append(list(map(add_points, row2, row1[shift:] + row1[:shift])))
+    return StriationTable(rows=tuple(map(tuple, rows)))

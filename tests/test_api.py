@@ -11,9 +11,10 @@ MOVED = {
     pauli: ("class_from_generators", "_check_class", "IDENTITY"),
 }
 
-# Superseded by failing_equations, SeedSet.rank and echelon, or read by no caller.
+# Superseded by failing_equations, SeedSet.rank, echelon and COEFFICIENTS, or read
+# by no caller.
 REMOVED = {
-    phasespace: ("check_twelve_equations", "greedy_basis"),
+    phasespace: ("check_twelve_equations", "greedy_basis", "add_points"),
     phasespace.SeedSet: ("well_formedness_errors", "is_well_formed"),
     phasespace.StriationTable: ("from_json",),
     phasespace.CurveRelation: ("from_json",),

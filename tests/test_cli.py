@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mub3q import cli, gf8, solver
-from mub3q.phasespace import PARAM_NAMES, build_table, failing_equations, validate_table
+from mub3q.phasespace import PARAM_NAMES, failing_equations, validate_table
 
 from conftest import seed_from_tokens, symplectic_image
+from oracles import recursive_table
 
 THREE_AXES = ["solve", "--scenario", "three-axes", "--l1", "m2", "--l2", "m6"]
 SEED_M3 = [
@@ -321,7 +322,7 @@ def _seed_flags(seed) -> list[str]:
 def test_table_accepts_exactly_the_valid_seeds(row1, row2, rank, capsys):
     seed = seed_from_tokens(row1, row2)
     assert seed.rank() == rank and failing_equations(seed) == []
-    valid = validate_table(build_table(seed, check_seed=False)).valid
+    valid = validate_table(recursive_table(seed)).valid
     code, out, err = run_cli(["table", *_seed_flags(seed)], capsys)
     assert (code == 0) == valid == (rank == 6)
     if not valid:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mub3q import gf8, phasespace, reference
 from mub3q.phasespace import (
+    COEFFICIENTS,
     ORIGIN,
     CurveRelation,
     InvalidSeedError,
@@ -29,7 +30,7 @@ from mub3q.phasespace import (
 )
 
 from conftest import PRINTED_EQUATIONS, decode_key, seed_from_tokens, symplectic_image, tk
-from oracles import span_greedy_basis
+from oracles import add_points, recursive_table, span_greedy_basis
 
 ALL_POINTS = [(a, b) for a in range(8) for b in range(8)]
 
@@ -112,6 +113,16 @@ def test_build_table_seed_round_trip():
     assert all(len(row) == 7 for row in table.rows)
 
 
+def test_coefficient_rows_are_the_gf8_lines_through_the_origin():
+    # read as the point (v & 7, v >> 3), column c is mu^c times the first
+    # entry; the entries are 1..63 once each
+    # (test_solver.py::test_table_positions_carry_each_nonzero_vector_once)
+    for row in COEFFICIENTS:
+        x, y = row[0] & 7, row[0] >> 3
+        assert [(v & 7, v >> 3) for v in row] == [(gf8.mul(m, x), gf8.mul(m, y)) for m in gf8.EXP]
+    assert [row[0] for row in COEFFICIENTS] == [1, 8] + [8 | m for m in gf8.EXP]
+
+
 def test_build_table_recursion_on_first_rows():
     table = build_table(THREE_AXES_SEED)
     # column 4 of row 1 is the sum of columns 2 and 1: m6 + m2 = 1
@@ -119,18 +130,18 @@ def test_build_table_recursion_on_first_rows():
     # generic recursion on both stem rows
     for row in table.rows[:2]:
         for c in range(3, 7):
-            assert row[c] == phasespace.add_points(row[c - 2], row[c - 3])
+            assert row[c] == add_points(row[c - 2], row[c - 3])
 
 
 def test_build_table_wraparound():
     table = build_table(NO_AXIS_SEED)
     row1, row2 = table.rows[0], table.rows[1]
     # row 9, column 7 uses row-1 column (7 + 9 - 4) mod 7 + 1 = 6
-    assert table.rows[8][6] == phasespace.add_points(row2[6], row1[5])
+    assert table.rows[8][6] == add_points(row2[6], row1[5])
     for r in range(3, 10):
         for c in range(1, 8):
             idx = (c + r - 4) % 7  # 0-based row-1 column
-            assert table.rows[r - 1][c - 1] == phasespace.add_points(
+            assert table.rows[r - 1][c - 1] == add_points(
                 row2[c - 1], row1[idx]
             )
 
@@ -150,10 +161,10 @@ def test_twelve_equations_duplicate_rows_pass_but_table_invalid():
         [("0", "m3"), ("0", "m5"), ("0", "m6")],
     )
     assert failing_equations(seed) == []
-    report = validate_table(build_table(seed, check_seed=False))
+    report = validate_table(recursive_table(seed))
     assert not report.rows_disjoint
     assert not report.valid
-    # the default check is the solver's rule: equations, then rank
+    # build_table checks the solver's rule: equations, then rank
     with pytest.raises(InvalidSeedError, match="rank 3 of 6"):
         build_table(seed)
 
@@ -232,11 +243,8 @@ def test_pair_encoding_expands_to_the_printed_terms(k):
 
 
 def test_equations_span_the_row_commutation_conditions():
-    # build_table on the unit vectors of GF(2)^6 gives the coefficient
-    # vector of every table position in the six seed points
-    unit = [(1 << k, 0) for k in range(6)]
-    table = build_table(SeedSet(tuple(unit[:3]), tuple(unit[3:])), check_seed=False)
-    rows = [[a for a, _ in row] for row in table.rows]
+    # the coefficient vector of every table position in the six seed points
+    rows = COEFFICIENTS
     assert sorted(u for row in rows for u in row) == list(range(1, 64))
     first_three = [_pair_mask(u, v) for row in rows for u, v in combinations(row[:3], 2)]
     in_row = [_pair_mask(u, v) for row in rows for u, v in combinations(row, 2)]
@@ -296,7 +304,7 @@ def test_striation_conditions_fail_on_perturbed_table():
     params = TWO_AXES_SEED.params()
     params["a22"] = tk("m")
     bad = SeedSet.from_params(params)
-    assert not check_all_striation_conditions(build_table(bad, check_seed=False))
+    assert not check_all_striation_conditions(recursive_table(bad))
 
 
 def test_validate_reference_tables(example_tables):
@@ -312,7 +320,7 @@ def test_validate_degenerate_seed_table():
         [("0", "m2"), ("0", "m6"), ("0", "1")],
         [("m2", "0"), ("m6", "0"), ("m3", "0")],
     )
-    table = build_table(dependent, check_seed=False)
+    table = recursive_table(dependent)
     report = validate_table(table)
     assert not report.rows_are_subgroups
     assert not report.valid
@@ -328,7 +336,7 @@ def test_partition_of_phase_space(example_tables):
             members = set(row) | {ORIGIN}
             assert len(members) == 8
             for p, q in combinations(row, 2):
-                assert phasespace.add_points(p, q) in members
+                assert add_points(p, q) in members
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +420,7 @@ def lagrangian_rows():
         if all(commutes(p, q) for p, q in combinations(triple, 2)):
             span = {ORIGIN}
             for v in triple:
-                span |= {phasespace.add_points(v, s) for s in span}
+                span |= {add_points(v, s) for s in span}
             if len(span) == 8:
                 rows.add(frozenset(span - {ORIGIN}))
     assert len(rows) == 135
@@ -542,6 +550,6 @@ def test_equations_imply_striation_conditions_two_axes_sweep():
         }
         for key in enumerate_assignments(fixed):
             seed = SeedSet.from_params(decode_key(key))
-            assert check_all_striation_conditions(build_table(seed, check_seed=False))
+            assert check_all_striation_conditions(recursive_table(seed))
             checked += 1
     assert checked > 100

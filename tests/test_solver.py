@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mub3q import gf8, reference
-from mub3q.phasespace import PARAM_NAMES, InvalidSeedError, SeedSet, build_table, check_all_striation_conditions, failing_equations, validate_table
+from mub3q.phasespace import COEFFICIENTS, PARAM_NAMES, InvalidSeedError, SeedSet, build_table, check_all_striation_conditions, failing_equations, validate_table
 from mub3q.solver import (
     CostGuardError,
     InvalidInputError,
@@ -30,7 +30,7 @@ from mub3q.solver import (
 )
 
 from conftest import PRINTED_EQUATIONS, decode_key, tk
-from oracles import span_greedy_basis
+from oracles import recursive_table, span_greedy_basis
 
 NONZERO = gf8.ELEMENTS[1:]
 
@@ -106,7 +106,7 @@ def test_no_axis_invalid_solutions_are_degenerate_seeds():
             assert validate_table(build_table(sol.seed)).valid
         else:
             # degenerate solutions still satisfy the equations but give no table
-            assert not validate_table(build_table(sol.seed, check_seed=False)).valid
+            assert not validate_table(recursive_table(sol.seed)).valid
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +521,7 @@ def test_lagrangian_row_one_has_the_closed_form_counts(basis):
 # ---------------------------------------------------------------------------
 
 def _validity_oracle(seed: SeedSet) -> bool:
-    return validate_table(build_table(seed, check_seed=False)).valid
+    return validate_table(recursive_table(seed)).valid
 
 
 _points = st.tuples(st.sampled_from(gf8.ELEMENTS), st.sampled_from(gf8.ELEMENTS))
@@ -572,13 +572,13 @@ _M3_ROW2 = ((tk("m2"), 0), (tk("m6"), 0), (tk("m3"), 0))
 )
 def test_validity_rule_rejects_ill_formed_seeds(row1, row2):
     seed = SeedSet(row1=row1, row2=row2)
-    assert not validate_table(build_table(seed, check_seed=False)).rows_are_subgroups
+    assert not validate_table(recursive_table(seed)).rows_are_subgroups
     assert not solution_is_valid(seed)
 
 
 def test_validity_rule_rejects_point_shared_by_two_rows():
     seed = SeedSet(row1=_M3_ROW1, row2=((0, tk("m2")),) + _M3_ROW2[1:])
-    assert not validate_table(build_table(seed, check_seed=False)).rows_disjoint
+    assert not validate_table(recursive_table(seed)).rows_disjoint
     assert not solution_is_valid(seed)
     with pytest.raises(InvalidSeedError):
         build_table(seed)
@@ -600,7 +600,7 @@ def test_validity_rule_rejects_point_shared_by_two_rows():
 )
 def test_validity_rule_rejects_non_commuting_partition(row1, row2):
     seed = SeedSet(row1=row1, row2=row2)
-    report = validate_table(build_table(seed, check_seed=False))
+    report = validate_table(recursive_table(seed))
     # rows are disjoint subgroups covering the 63 points, but do not commute
     assert report.rows_are_subgroups and report.rows_disjoint and report.covers_all_points
     assert not report.rows_commute
@@ -613,13 +613,8 @@ def test_validity_rule_rejects_non_commuting_partition(row1, row2):
 # the rank rule of solve_scenario and the JSON text of a solution
 # ---------------------------------------------------------------------------
 
-# Point i of the six packs the unit vector 1 << i of GF(2)^6 as a << 3 | b.
-_UNITS = tuple((1 << i >> 3, 1 << i & 7) for i in range(6))
-_UNIT_TABLE = build_table(SeedSet(row1=_UNITS[:3], row2=_UNITS[3:]), check_seed=False)
-
-
 def test_table_positions_carry_each_nonzero_vector_once():
-    vectors = [a << 3 | b for row in _UNIT_TABLE.rows for a, b in row]
+    vectors = [v for row in COEFFICIENTS for v in row]
     assert sorted(vectors) == list(range(1, 64))
 
 
@@ -627,12 +622,12 @@ def test_table_positions_carry_each_nonzero_vector_once():
 @given(_triples, _triples)
 def test_table_point_is_sum_of_selected_seed_points(row1, row2):
     seed = SeedSet(row1=row1, row2=row2)
-    table = build_table(seed, check_seed=False)
-    for row, vectors in zip(table.rows, _UNIT_TABLE.rows):
-        for point, (va, vb) in zip(row, vectors):
+    table = recursive_table(seed)
+    for row, vectors in zip(table.rows, COEFFICIENTS):
+        for point, v in zip(row, vectors):
             a = b = 0
             for i, (sa, sb) in enumerate(seed.points()):
-                if (va << 3 | vb) >> i & 1:
+                if v >> i & 1:
                     a, b = a ^ sa, b ^ sb
             assert point == (a, b)
 
@@ -644,7 +639,7 @@ def _check_solutions(sols) -> None:
         # The twelve equations leave the symplectic form, pulled back to the
         # coefficient vectors, zero or nondegenerate: the seed points span
         # at most 3 dimensions, or all 6.
-        span = {p for row in build_table(sol.seed, check_seed=False).rows for p in row}
+        span = {p for row in recursive_table(sol.seed).rows for p in row}
         assert len(span | {(0, 0)}) in (1, 2, 4, 8, 64)
 
 
@@ -673,20 +668,41 @@ def test_scheme_solutions_valid_and_json_match_oracles(scenario):
     _check_solutions(solve_scenario(scenario))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(_scheme_scenarios(), _generic_fixings().map(
-    lambda fixed: Scenario.make("generic", fixed))))
-@example(Scenario.make("three-axes", {"l1": tk("m2"), "l2": tk("m6")}))
-@example(Scenario.make("generic", {
+_solved_scenarios = st.one_of(_scheme_scenarios(), _generic_fixings().map(
+    lambda fixed: Scenario.make("generic", fixed)))
+# 12 solutions, 6 of them invalid
+_MIXED_SCENARIO = Scenario.make("generic", {
     "a11": tk("m2"), "b11": tk("m5"), "b12": tk("m3"), "b13": tk("1"), "a21": tk("m3"),
     "b22": tk("m2"), "b23": tk("m6"),
-}))
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_solved_scenarios)
+@example(Scenario.make("three-axes", {"l1": tk("m2"), "l2": tk("m6")}))
+@example(_MIXED_SCENARIO)
 def test_form_rule_matches_rank_on_solutions(scenario):
     # the key's form test against the elimination and the span oracle
     for sol in solve_scenario(scenario):
         rank = len(span_greedy_basis([a << 3 | b for a, b in sol.seed.points()]))
         assert _form_is_nonzero(sol.key) == (sol.seed.rank() == 6) == (rank == 6)
         assert sol.valid == (rank == 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solved_scenarios)
+@example(_MIXED_SCENARIO)
+def test_build_table_matches_recursion_on_solutions(scenario):
+    # a valid seed's table is the paper's recursion; an invalid solution
+    # satisfies the equations, so build_table rejects it by its rank
+    for sol in solve_scenario(scenario):
+        if sol.valid:
+            assert build_table(sol.seed) == recursive_table(sol.seed)
+        else:
+            rank = len(span_greedy_basis([a << 3 | b for a, b in sol.seed.points()]))
+            with pytest.raises(InvalidSeedError) as err:
+                build_table(sol.seed)
+            assert str(err.value) == f"seed points are GF(2)-dependent: rank {rank} of 6"
 
 
 @st.composite
