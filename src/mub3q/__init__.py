@@ -24,11 +24,7 @@ from .phasespace import (
 from .solver import (
     Scenario,
     Solution,
-    solve_generic,
-    solve_no_axis,
-    solve_one_axis,
-    solve_three_axes,
-    solve_two_axes,
+    solve_scenario,
 )
 from .pauli import OperatorClass, PauliOp, class_from_row, commutes_op, point_to_pauli
 from .mub import (
@@ -63,11 +59,7 @@ __all__ = [
     "from_token",
     "point_to_pauli",
     "render_grid",
-    "solve_generic",
-    "solve_no_axis",
-    "solve_one_axis",
-    "solve_three_axes",
-    "solve_two_axes",
+    "solve_scenario",
     "structure",
     "to_token",
     "trace",

@@ -269,17 +269,32 @@ def solve_example(example: Example) -> list[solver.Solution]:
 
 def example_tables(example: Example) -> list[StriationTable]:
     """One table per expected solution, in solution order."""
-    return _tables(example, solve_example(example))
+    tables = _tables(example, solve_example(example))
+    for table in tables:
+        if isinstance(table, str):
+            raise LookupError(table)
+    return tables
 
 
-def _tables(example: Example, sols: list[solver.Solution]) -> list[StriationTable]:
-    want = [tuple(tk(t) for t in f) for f in example.expected_free]
-    tables = []
-    for w in want:
-        match = [s for s in sols if s.free_values() == w]
+def _label(example: Example, tokens: tuple[str, ...]) -> str:
+    return f"{example.name} ({','.join(tokens)})"
+
+
+def _tables(example: Example, sols: list[solver.Solution]) -> list[StriationTable | str]:
+    """The table of each expected solution, in solution order, or in its
+    place the reason, naming the solution, why there is none: the checks
+    that take a table or its report fail with that reason."""
+    tables: list[StriationTable | str] = []
+    for tokens in example.expected_free:
+        want = tuple(tk(t) for t in tokens)
+        match = [s for s in sols if s.free_values() == want]
         if not match:
-            raise LookupError(f"expected solution {w} not produced for {example.name}")
-        tables.append(phasespace.build_table(match[0].seed))
+            tables.append(f"{_label(example, tokens)} not produced by the solver")
+            continue
+        try:
+            tables.append(phasespace.build_table(match[0].seed))
+        except phasespace.InvalidSeedError as exc:
+            tables.append(f"{_label(example, tokens)}: {exc}")
     return tables
 
 
@@ -347,8 +362,10 @@ def check_system(example: Example, sols: list[solver.Solution]) -> CheckResult:
     )
 
 
-def check_grid(example: Example, table: StriationTable) -> CheckResult:
+def check_grid(example: Example, table: StriationTable | str) -> CheckResult:
     """The rendered grid matches the published one cell-for-cell."""
+    if isinstance(table, str):
+        return CheckResult(f"{example.name} grid", False, table)
     rendered = phasespace.render_grid(table)
     cells = [line.split("| ", 1)[1] for line in rendered.strip().splitlines()[1:]]
     ok = tuple(cells) == example.grid
@@ -360,13 +377,16 @@ def check_grid(example: Example, table: StriationTable) -> CheckResult:
     )
 
 
-def check_curves(example: Example, table: StriationTable) -> list[CheckResult]:
+def check_curves(example: Example, table: StriationTable | str) -> list[CheckResult]:
     """Each published curve equation, evaluated on its generated row."""
     out = []
     for k, (rel, row_idx) in enumerate(zip(example.curves, example.curve_rows), start=1):
+        name = f"{example.name} curve {k}"
+        if isinstance(table, str):
+            out.append(CheckResult(name, False, table))
+            continue
         row = table.rows[row_idx - 1]
         ok = all(rel.holds_at(p) for p in row + (ORIGIN,))
-        name = f"{example.name} curve {k}"
         if ok:
             detail = f"holds on generated row {row_idx}"
         else:
@@ -380,10 +400,13 @@ def check_curves(example: Example, table: StriationTable) -> list[CheckResult]:
     return out
 
 
-def check_mub(example: Example, reports: list[mub.MubReport]) -> list[CheckResult]:
+def check_mub(example: Example, reports: list[mub.MubReport | str]) -> list[CheckResult]:
     out = []
     for tokens, report in zip(example.expected_free, reports):
-        label = f"{example.name} ({','.join(tokens)})"
+        label = _label(example, tokens)
+        if isinstance(report, str):
+            out.append(CheckResult(f"{label} MUB verification", False, report))
+            continue
         out.append(
             CheckResult(
                 f"{label} MUB verification",
@@ -395,10 +418,13 @@ def check_mub(example: Example, reports: list[mub.MubReport]) -> list[CheckResul
     return out
 
 
-def check_structures(example: Example, reports: list[mub.MubReport]) -> list[CheckResult]:
+def check_structures(example: Example, reports: list[mub.MubReport | str]) -> list[CheckResult]:
     out = []
     for tokens, report, want in zip(example.expected_free, reports, example.structures):
-        label = f"{example.name} ({','.join(tokens)})"
+        label = _label(example, tokens)
+        if isinstance(report, str):
+            out.append(CheckResult(f"{label} structure", False, report))
+            continue
         got = report.structure
         ok = got in KNOWN_STRUCTURES and sum(got) == 9 and got == want
         out.append(
@@ -417,6 +443,8 @@ def run_all_checks() -> list[CheckResult]:
     Each example is solved once, each of its tables built once and each
     table's MUB set verified once.  The MUB and structure checks of every
     example come after all the solution, system, grid and curve checks.
+    A published solution that is not produced, or whose seed build_table
+    rejects, fails the checks that need its table; all 60 are listed.
     """
     out: list[CheckResult] = []
     mub_checks: list[CheckResult] = []
@@ -427,7 +455,7 @@ def run_all_checks() -> list[CheckResult]:
         out.append(check_system(example, sols))
         out.append(check_grid(example, tables[0]))
         out.extend(check_curves(example, tables[0]))
-        reports = [mub.verify_mub_set(table) for table in tables]
+        reports = [t if isinstance(t, str) else mub.verify_mub_set(t) for t in tables]
         mub_checks.extend(check_mub(example, reports))
         mub_checks.extend(check_structures(example, reports))
     return out + mub_checks

@@ -2,7 +2,8 @@
 
 Four fixing schemes are supported, one per number of coordinate axes
 appearing in the striation table (three, two, one, none), plus a generic
-partial-assignment solver.  Every scheme pins some of the 12 parameters
+partial fixing; SCHEMES states each.  solve_scenario(Scenario.make(kind,
+fixed)) solves any of them: every scheme pins some of the 12 parameters
 (Scenario.pinned) and goes through the one solver, enumerate_assignments.
 Each pair (i, j) of an equation expands to two terms, tr(a_i*b_j) and
 tr(a_j*b_i), so the equations are bilinear and unchanged when every
@@ -149,8 +150,7 @@ class Scenario:
         for v in fixed.values():
             gf8.check_element(v)
         if kind == "three-axes":
-            l1, l2 = fixed["l1"], fixed["l2"]
-            if l1 == 0 or l2 == 0 or l1 == l2:
+            if len(phasespace.echelon((fixed["l1"], fixed["l2"]))[0]) < 2:
                 raise InvalidInputError("l1 and l2 must be distinct and nonzero")
         elif kind in ("two-axes", "one-axis"):
             if len(phasespace.echelon((fixed["b11"], fixed["b12"], fixed["b13"]))[0]) < 3:
@@ -324,7 +324,7 @@ def enumerate_assignments(fixed: dict[str, int], *, allow_large: bool = False) -
     if len(free) > MAX_FREE_DEFAULT and not allow_large:
         raise CostGuardError(
             f"{len(free)} free parameters means 8^{len(free)} assignments; "
-            "pass allow_large to enumerate anyway"
+            "pass allow_large (--allow-large) to enumerate anyway"
         )
     systems, total = [], 0
     for system in _solved_fixings(fixed):
@@ -365,36 +365,3 @@ def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Sol
         keys = [k for k in keys if k >> b13 & 7 == k >> a23 & 7]
     names = scenario.free_names()
     return [Solution(k, names) for k in keys]
-
-
-def solve_generic(fixed: dict[str, int], *, allow_large: bool = False) -> list[Solution]:
-    """Solve with an arbitrary partial fixing of the 12 parameters."""
-    return solve_scenario(Scenario.make("generic", fixed), allow_large=allow_large)
-
-
-def solve_three_axes(l1: int, l2: int) -> list[Solution]:
-    """All l3 completing the three-axes seed (both rows on the axes)."""
-    return solve_scenario(Scenario.make("three-axes", {"l1": l1, "l2": l2}))
-
-
-def solve_two_axes(b11: int, b12: int, b13: int, a21: int) -> list[Solution]:
-    """Row 1 on the vertical axis, row 2 on the horizontal one; solves a22, a23."""
-    fixed = {"b11": b11, "b12": b12, "b13": b13, "a21": a21}
-    return solve_scenario(Scenario.make("two-axes", fixed))
-
-
-def solve_one_axis(
-    b11: int, b12: int, b13: int, a21: int, b22: int, b23: int
-) -> list[Solution]:
-    """Row 1 on the vertical axis; solves b21, a22, a23."""
-    fixed = {"b11": b11, "b12": b12, "b13": b13, "a21": a21, "b22": b22, "b23": b23}
-    return solve_scenario(Scenario.make("one-axis", fixed))
-
-
-def solve_no_axis(
-    a11: int, b11: int, b12: int, b13: int, a21: int, b22: int, b23: int
-) -> list[Solution]:
-    """No axis fixed; solves a12, a13, b21, a22, a23."""
-    fixed = {"a11": a11, "b11": b11, "b12": b12, "b13": b13,
-             "a21": a21, "b22": b22, "b23": b23}
-    return solve_scenario(Scenario.make("no-axis", fixed))

@@ -1,6 +1,6 @@
 import pytest
 
-from mub3q import gf8, phasespace, reference
+from mub3q import gf8, phasespace, reference, solver
 from mub3q.pauli import PauliOp, commutes_op, pauli_to_point, point_to_pauli
 
 
@@ -32,6 +32,12 @@ PRINTED_EQUATIONS = (
 
 def tk(token: str) -> int:
     return gf8.from_token(token)
+
+
+def solve(kind: str, **fixed: str) -> list[solver.Solution]:
+    """solver.solve_scenario on the scheme `kind`, each fixed parameter
+    named and given as a token."""
+    return solver.solve_scenario(solver.Scenario.make(kind, {n: tk(t) for n, t in fixed.items()}))
 
 
 def decode_key(key: int) -> dict[str, int]:

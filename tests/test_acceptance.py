@@ -21,7 +21,7 @@ from mub3q.phasespace import (
     check_all_striation_conditions,
 )
 
-from conftest import decode_key, tk
+from conftest import decode_key, solve, tk
 from oracles import add_points, recursive_table
 
 NONZERO = gf8.ELEMENTS[1:]
@@ -42,7 +42,7 @@ def _all_example_tables():
 
 def test_criterion_01_three_axes_solutions():
     t0 = time.perf_counter()
-    sols = solver.solve_three_axes(tk("m2"), tk("m6"))
+    sols = solve("three-axes", l1="m2", l2="m6")
     elapsed = time.perf_counter() - t0
     got = [dict(s.free)["l3"] for s in sols]
     ok = got == [tk("m3"), tk("m5")] and elapsed < 1.0
@@ -52,7 +52,7 @@ def test_criterion_01_three_axes_solutions():
 
 def test_criterion_02_two_axes_solution():
     t0 = time.perf_counter()
-    sols = solver.solve_two_axes(tk("m4"), tk("m3"), tk("m5"), tk("1"))
+    sols = solve("two-axes", b11="m4", b12="m3", b13="m5", a21="1")
     elapsed = time.perf_counter() - t0
     got = [s.free_values() for s in sols]
     ok = got == [(tk("m2"), tk("m3"))] and elapsed < 1.0
@@ -62,7 +62,7 @@ def test_criterion_02_two_axes_solution():
 
 def test_criterion_03_one_axis_solutions():
     t0 = time.perf_counter()
-    sols = solver.solve_one_axis(tk("m4"), tk("m3"), tk("m"), tk("1"), tk("m2"), tk("m6"))
+    sols = solve("one-axis", b11="m4", b12="m3", b13="m", a21="1", b22="m2", b23="m6")
     elapsed = time.perf_counter() - t0
     got = [s.free_values() for s in sols]
     want = [(tk("m2"), tk("m6"), tk("m4")), (tk("m3"), tk("m6"), tk("m4"))]
@@ -73,7 +73,7 @@ def test_criterion_03_one_axis_solutions():
 
 def test_criterion_04_no_axis_solution():
     t0 = time.perf_counter()
-    sols = solver.solve_no_axis(*(tk(t) for t in ("m2", "m5", "m3", "1", "m3", "m2", "m")))
+    sols = solve("no-axis", a11="m2", b11="m5", b12="m3", b13="1", a21="m3", b22="m2", b23="m")
     elapsed = time.perf_counter() - t0
     want = tuple(tk(t) for t in ("1", "m3", "m2", "m", "1"))
     match = [s for s in sols if s.free_values() == want]
@@ -265,10 +265,10 @@ def test_criterion_11_field_oracle():
 def test_criterion_12_partition_invariant():
     tables = [t for _, t in _all_example_tables()]
     # plus a sample of solver-generated valid tables
-    for sol in solver.solve_two_axes(tk("m3"), tk("m5"), tk("m6"), tk("m")):
+    for sol in solve("two-axes", b11="m3", b12="m5", b13="m6", a21="m"):
         if sol.valid:
             tables.append(build_table(sol.seed))
-    for sol in solver.solve_one_axis(tk("m3"), tk("m5"), tk("m6"), tk("m"), tk("1"), tk("m4")):
+    for sol in solve("one-axis", b11="m3", b12="m5", b13="m6", a21="m", b22="1", b23="m4"):
         if sol.valid:
             tables.append(build_table(sol.seed))
     nonzero = {(a, b) for a in range(8) for b in range(8)} - {ORIGIN}

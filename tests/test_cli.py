@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mub3q import cli, gf8, solver
+from mub3q import cli, gf8, reference, solver
 from mub3q.phasespace import PARAM_NAMES, failing_equations, validate_table
 
 from conftest import seed_from_tokens, symplectic_image
@@ -139,7 +139,7 @@ def test_solve_exit_codes(capsys):
     code, _, err = run_cli(["solve", "--scenario", "generic", "--fix", "zz=m2"], capsys)
     assert code == 1  # unknown parameter name is a domain error
     code, _, err = run_cli(["solve", "--scenario", "generic"], capsys)
-    assert code == 1 and "allow_large" in err  # 12 free parameters refused
+    assert code == 1 and "allow_large" in err and "--allow-large" in err  # 12 free parameters refused
 
 
 def test_solve_scenario_file(tmp_path, capsys):
@@ -446,6 +446,44 @@ def test_reproduce_paper_lines(capsys):
     assert lines[-1].endswith("checks passed")
     assert sum(line.startswith("PASS ") for line in lines) == len(lines) - 4
     assert sum(line.startswith("FAIL ") for line in lines) == 3
+
+
+def _dropped(sols):
+    return sols[1:]
+
+
+def _dependent(sols):
+    # the same free values, with row 2 moved to the origin: rank 3
+    return [solver.Solution(sols[0].key >> 18 << 18, sols[0].names), *sols[1:]]
+
+
+@pytest.mark.parametrize(
+    "fault, failed, why",
+    [
+        (_dropped, 17, "three-axes (m3) not produced by the solver"),
+        (_dependent, 15, "three-axes (m3): seed points are GF(2)-dependent: rank 3 of 6"),
+    ],
+    ids=["missing", "rejected"],
+)
+def test_reproduce_paper_lists_every_check_without_a_published_table(
+    monkeypatch, capsys, fault, failed, why
+):
+    # the first published three-axes solution gives no table: every check
+    # that needs it fails and names it, and the other checks still run
+    solve = reference.solve_example
+    monkeypatch.setattr(
+        reference, "solve_example",
+        lambda ex: fault(solve(ex)) if ex is reference.THREE_AXES else solve(ex),
+    )
+    code, out, err = run_cli(["reproduce-paper", "--json"], capsys)
+    checks = json.loads(out)
+    assert code == 1 and len(checks) == 60
+    assert err == f"error: {failed} of 60 checks failed\n"
+    details = {c["name"]: c["detail"] for c in checks if not c["pass"]}
+    needs_table = ["three-axes grid", *(f"three-axes curve {k}" for k in range(1, 10)),
+                   "three-axes (m3) MUB verification", "three-axes (m3) structure"]
+    assert all(details[name] == why for name in needs_table)
+    assert "three-axes (m5) MUB verification" not in details
 
 
 # ---------------------------------------------------------------------------

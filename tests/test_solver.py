@@ -20,21 +20,18 @@ from mub3q.solver import (
     _solve_gf2,
     count_assignments,
     enumerate_assignments,
-    solve_generic,
-    solve_no_axis,
-    solve_one_axis,
     solve_scenario,
-    solve_three_axes,
-    solve_two_axes,
     solution_is_valid,
 )
 
-from conftest import PRINTED_EQUATIONS, decode_key, tk
+from conftest import PRINTED_EQUATIONS, decode_key, solve, tk
 from oracles import recursive_table, span_greedy_basis
 
 NONZERO = gf8.ELEMENTS[1:]
 
-NO_AXIS_ARGS = tuple(tk(t) for t in ("m2", "m5", "m3", "1", "m3", "m2", "m"))
+NO_AXIS = {"a11": "m2", "b11": "m5", "b12": "m3", "b13": "1", "a21": "m3", "b22": "m2", "b23": "m"}
+TWO_AXES = {"b11": "m4", "b12": "m3", "b13": "m5", "a21": "1"}
+ONE_AXIS = {"b11": "m4", "b12": "m3", "b13": "m", "a21": "1", "b22": "m2", "b23": "m6"}
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +39,7 @@ NO_AXIS_ARGS = tuple(tk(t) for t in ("m2", "m5", "m3", "1", "m3", "m2", "m"))
 # ---------------------------------------------------------------------------
 
 def test_three_axes_reference():
-    sols = solve_three_axes(tk("m2"), tk("m6"))
+    sols = solve("three-axes", l1="m2", l2="m6")
     assert [dict(s.free)["l3"] for s in sols] == [tk("m3"), tk("m5")]
     assert all(s.valid for s in sols)
     # _reduced_three_axes_system instantiates to tr(l3)=1, tr(m2*l3)=1, tr(m6*l3)=0
@@ -53,13 +50,13 @@ def test_three_axes_reference():
 
 def test_three_axes_rejects_bad_lambdas():
     with pytest.raises(InvalidInputError):
-        solve_three_axes(tk("m2"), tk("m2"))
+        solve("three-axes", l1="m2", l2="m2")
     with pytest.raises(InvalidInputError):
-        solve_three_axes(0, tk("m2"))
+        solve("three-axes", l1="0", l2="m2")
 
 
 def test_two_axes_reference():
-    sols = solve_two_axes(tk("m4"), tk("m3"), tk("m5"), tk("1"))
+    sols = solve("two-axes", **TWO_AXES)
     assert [s.free_values() for s in sols] == [(tk("m2"), tk("m3"))]
     assert sols[0].valid
     # a displayed constraint of the instantiated system: tr[a22 * m4] = 1
@@ -70,11 +67,11 @@ def test_two_axes_rejects_dependent_triple():
     # m3 + m5 = m2, so (m3, m5, m2) is dependent
     assert gf8.add(tk("m3"), tk("m5")) == tk("m2")
     with pytest.raises(InvalidInputError):
-        solve_two_axes(tk("m3"), tk("m5"), tk("m2"), tk("1"))
+        solve("two-axes", b11="m3", b12="m5", b13="m2", a21="1")
 
 
 def test_one_axis_reference():
-    sols = solve_one_axis(tk("m4"), tk("m3"), tk("m"), tk("1"), tk("m2"), tk("m6"))
+    sols = solve("one-axis", **ONE_AXIS)
     assert [s.free_values() for s in sols] == [
         (tk("m2"), tk("m6"), tk("m4")),
         (tk("m3"), tk("m6"), tk("m4")),
@@ -84,12 +81,12 @@ def test_one_axis_reference():
 
 
 def test_one_axis_infeasible_returns_empty():
-    sols = solve_one_axis(tk("1"), tk("m"), tk("m2"), tk("1"), tk("0"), tk("m2"))
+    sols = solve("one-axis", b11="1", b12="m", b13="m2", a21="1", b22="0", b23="m2")
     assert sols == []
 
 
 def test_no_axis_reference():
-    sols = solve_no_axis(*NO_AXIS_ARGS)
+    sols = solve("no-axis", **NO_AXIS)
     want = tuple(tk(t) for t in ("1", "m3", "m2", "m", "1"))
     match = [s for s in sols if s.free_values() == want]
     assert match and match[0].valid
@@ -101,7 +98,7 @@ def test_no_axis_reference():
 
 
 def test_no_axis_invalid_solutions_are_degenerate_seeds():
-    for sol in solve_no_axis(*NO_AXIS_ARGS):
+    for sol in solve("no-axis", **NO_AXIS):
         if sol.valid:
             assert validate_table(build_table(sol.seed)).valid
         else:
@@ -132,10 +129,10 @@ def test_displayed_system_matches_solver(example):
 
 def _all_reference_solutions():
     out = []
-    out += solve_three_axes(tk("m2"), tk("m6"))
-    out += solve_two_axes(tk("m4"), tk("m3"), tk("m5"), tk("1"))
-    out += solve_one_axis(tk("m4"), tk("m3"), tk("m"), tk("1"), tk("m2"), tk("m6"))
-    out += solve_no_axis(*NO_AXIS_ARGS)
+    out += solve("three-axes", l1="m2", l2="m6")
+    out += solve("two-axes", **TWO_AXES)
+    out += solve("one-axis", **ONE_AXIS)
+    out += solve("no-axis", **NO_AXIS)
     return out
 
 
@@ -153,8 +150,8 @@ def test_valid_solutions_give_valid_tables():
 
 
 def test_solutions_sorted_and_deterministic():
-    first = solve_no_axis(*NO_AXIS_ARGS)
-    second = solve_no_axis(*NO_AXIS_ARGS)
+    first = solve("no-axis", **NO_AXIS)
+    second = solve("no-axis", **NO_AXIS)
     assert first == second
     keys = [tuple(gf8.order_key(v) for v in s.free_values()) for s in first]
     assert keys == sorted(keys)
@@ -187,7 +184,8 @@ def test_three_axes_reduction_equivalent_to_twelve_equations():
         for l2 in NONZERO:
             if l1 == l2:
                 continue
-            solved = [dict(s.free)["l3"] for s in solve_three_axes(l1, l2)]
+            scenario = Scenario.make("three-axes", {"l1": l1, "l2": l2})
+            solved = [dict(s.free)["l3"] for s in solve_scenario(scenario)]
             reduced = [l3 for l3 in gf8.ELEMENTS if _reduced_three_axes_system(l1, l2, l3)]
             assert solved == reduced
             for l3 in gf8.ELEMENTS:
@@ -203,31 +201,31 @@ def test_generic_agrees_with_three_axes_shape():
         "a11": 0, "b11": tk("m2"), "a12": 0, "b12": tk("m6"), "a13": 0,
         "a21": tk("m2"), "b21": 0, "a22": tk("m6"), "b22": 0, "b23": 0,
     }
-    generic = solve_generic(fixed)  # free: b13 and a23
+    generic = solve_scenario(Scenario.make("generic", fixed))  # free: b13 and a23
     assert [s.free_values() for s in generic] == [(tk("m3"), tk("m3")), (tk("m5"), tk("m5"))]
     assert {s.seed for s in generic} == {
-        s.seed for s in solve_three_axes(tk("m2"), tk("m6"))
+        s.seed for s in solve("three-axes", l1="m2", l2="m6")
     }
 
 
 def test_generic_agrees_with_scheme_solvers():
     cases = [
         (
-            solve_two_axes(tk("m4"), tk("m3"), tk("m5"), tk("1")),
+            solve("two-axes", **TWO_AXES),
             {
                 "a11": 0, "b11": tk("m4"), "a12": 0, "b12": tk("m3"), "a13": 0,
                 "b13": tk("m5"), "a21": tk("1"), "b21": 0, "b22": 0, "b23": 0,
             },
         ),
         (
-            solve_one_axis(tk("m4"), tk("m3"), tk("m"), tk("1"), tk("m2"), tk("m6")),
+            solve("one-axis", **ONE_AXIS),
             {
                 "a11": 0, "b11": tk("m4"), "a12": 0, "b12": tk("m3"), "a13": 0,
                 "b13": tk("m"), "a21": tk("1"), "b22": tk("m2"), "b23": tk("m6"),
             },
         ),
         (
-            solve_no_axis(*NO_AXIS_ARGS),
+            solve("no-axis", **NO_AXIS),
             {
                 "a11": tk("m2"), "b11": tk("m5"), "b12": tk("m3"), "b13": tk("1"),
                 "a21": tk("m3"), "b22": tk("m2"), "b23": tk("m"),
@@ -235,7 +233,7 @@ def test_generic_agrees_with_scheme_solvers():
         ),
     ]
     for scheme_sols, fixed in cases:
-        generic = solve_generic(fixed)
+        generic = solve_scenario(Scenario.make("generic", fixed))
         assert [s.seed for s in generic] == [s.seed for s in scheme_sols]
         assert [s.valid for s in generic] == [s.valid for s in scheme_sols]
 
@@ -246,13 +244,13 @@ def test_generic_with_complete_fixing():
         "b13": tk("m5"), "a21": tk("1"), "b21": 0, "a22": tk("m2"), "b22": 0,
         "a23": tk("m3"), "b23": 0,
     }
-    sols = solve_generic(params)
+    sols = solve_scenario(Scenario.make("generic", params))
     assert len(sols) == 1
     assert sols[0].valid
     assert sols[0].free == ()
     # perturbing one parameter empties the solution set
     params["a23"] = tk("m4")
-    assert solve_generic(params) == []
+    assert solve_scenario(Scenario.make("generic", params)) == []
 
 
 def test_generic_matches_sequential_enumeration():
@@ -279,7 +277,7 @@ def test_cost_guard():
     with pytest.raises(CostGuardError):
         enumerate_assignments(fixed5)  # 7 free parameters
     with pytest.raises(CostGuardError):
-        solve_generic({})  # 12 free parameters
+        solve("generic")  # 12 free parameters
     # with the override the 8^7 sweep runs and agrees with split sub-sweeps
     assignments = enumerate_assignments(fixed5, allow_large=True)
     assert len(assignments) == 848
@@ -294,7 +292,7 @@ def test_unknown_parameter_name_rejected():
     with pytest.raises(InvalidInputError):
         enumerate_assignments({"a99": 0})
     with pytest.raises(InvalidInputError):
-        solve_generic({"zz": 1})
+        solve("generic", zz="1")
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +317,16 @@ def test_scenario_validation():
         Scenario.make("two-axes", {"b11": tk("m3"), "b12": tk("m5"), "b13": tk("m2"), "a21": tk("1")})
     with pytest.raises(InvalidInputError):
         Scenario.make("generic", {"nope": 0})
+
+
+def test_three_axes_takes_exactly_the_distinct_nonzero_pairs():
+    # l1 and l2 span two dimensions over GF(2) iff they are distinct and nonzero
+    for l1, l2 in product(gf8.ELEMENTS, repeat=2):
+        if l1 and l2 and l1 != l2:
+            assert Scenario.make("three-axes", {"l1": l1, "l2": l2}).fixed == (("l1", l1), ("l2", l2))
+        else:
+            with pytest.raises(InvalidInputError, match="distinct and nonzero"):
+                Scenario.make("three-axes", {"l1": l1, "l2": l2})
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +517,7 @@ def test_lagrangian_row_one_has_the_closed_form_counts(basis):
     fixed = {}
     for c, x in enumerate(basis, start=1):
         fixed[f"a1{c}"], fixed[f"b1{c}"] = x >> 3, x & 7
-    sols = solve_generic(fixed)
+    sols = solve_scenario(Scenario.make("generic", fixed))
     ranks = [len(span_greedy_basis([a << 3 | b for a, b in s.seed.points()])) for s in sols]
     assert Counter(ranks) == {3: 512, 6: 448}
     assert [s.valid for s in sols] == [r == 6 for r in ranks]
@@ -722,6 +730,6 @@ def test_generic_solutions_valid_and_json_match_oracles(scenario):
 
 def test_mixed_solution_set_valid_and_json_match_oracles():
     fixed = {"a11": tk("m2"), "b11": tk("m5"), "b12": tk("m3"), "b13": tk("1"), "a21": tk("m3")}
-    sols = solve_generic(fixed, allow_large=True)
+    sols = solve_scenario(Scenario.make("generic", fixed), allow_large=True)
     assert 0 < sum(s.valid for s in sols) < len(sols) == 848
     _check_solutions(sols)
