@@ -11,7 +11,10 @@ point's a and b are swapped: once the free coordinates on one side are
 fixed, the bits of the other side's free coordinates satisfy 12
 GF(2)-linear equations.  The solver sweeps the side with fewer free
 coordinates over GF(8) and solves the linear system at each sweep point,
-which lists every solution and no others.
+which lists every solution and no others.  The rows are linear in the
+swept coordinates too, so the sweep is a walk that sets one coordinate
+per level, eliminates each row once the coordinates it depends on are
+set, and drops every point below an inconsistent prefix.
 
 Solutions are returned in a fixed order: free parameters are sorted in
 canonical parameter order, each by the element display order, so the
@@ -48,7 +51,6 @@ table test per solution with no elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple
 
 from . import gf8, phasespace
@@ -248,20 +250,17 @@ class Solution(NamedTuple):
         )
 
 
-def _solve_gf2(system: list[tuple[int, int]], unknown: int):
-    """Solve a GF(2) linear system of (row, bit) pairs, each row a bitmask
-    over the columns set in `unknown`.
+def _back_substitute(pivots: dict[int, int], unknown: int):
+    """Solve a consistent GF(2) system from its echelon pivots: rows
+    row << 1 | bit, each row a bitmask over the columns set in `unknown`,
+    and no pivot at bit 0.
 
     Returns (particular solution, nullspace basis) as bitmasks over those
-    columns, or None if the system is inconsistent: echelon of the rows
-    row << 1 | bit has a pivot at bit 0.  A pivot's row holds no column
-    above its own, so one pass over the pivots in increasing order sets
-    each pivot column, in the particular solution (free columns 0) and in
-    the nullspace vector of each free column.
+    columns.  A pivot's row holds no column above its own, so one pass
+    over the pivots in increasing order sets each pivot column, in the
+    particular solution (free columns 0) and in the nullspace vector of
+    each free column.
     """
-    pivots, _ = phasespace.echelon([r << 1 | b for r, b in system])
-    if 0 in pivots:
-        return None
     particular = 0
     columns = range(unknown.bit_length())
     basis = [1 << c for c in columns if unknown >> c & 1 and c + 1 not in pivots]
@@ -277,14 +276,21 @@ def _solve_gf2(system: list[tuple[int, int]], unknown: int):
 def _solved_fixings(fixed: dict[str, int]):
     """Solve the twelve equations as GF(2) systems, one per sweep point.
 
-    The free coordinates of the side with fewer of them run over GF(8);
-    at each sweep point, phasespace.equation_rows gives the rows over the
-    other side's coordinates o, whose fixed bits move to the right-hand
-    side.
+    The free coordinates of the side with fewer of them run over GF(8),
+    one level of a walk per coordinate.  The rows that
+    phasespace.equation_rows gives over the other side's coordinates o
+    are linear in the swept side (TRACE_FORM[0] is 0), and so is each
+    row augmented as (row & unknown o bits) << 1 | parity of its fixed
+    bits: the walk builds the fixed part and each swept coordinate's
+    part once per fixing and adds one part per level.  A row is
+    eliminated, into its parent's pivots, at the level of the last
+    coordinate it depends on, and a pivot at bit 0 (0 = 1) drops the
+    subtree.  Sweep points come in the order of itertools.product over
+    gf8.ELEMENTS, the first slot slowest.
 
-    Yields (swept side, 0 for a and 1 for b; the swept coordinates; o with
-    its unknown bits zero; particular solution; nullspace basis) for each
-    sweep point whose system is consistent.
+    Yields (swept side, 0 for a and 1 for b; the swept side's key digits;
+    o with its unknown bits zero; particular solution; nullspace basis)
+    for each sweep point whose system is consistent.
     """
     a, b = ([fixed.get(PARAM_NAMES[2 * i + side]) for i in range(6)] for side in (0, 1))
     side = 0 if a.count(None) <= b.count(None) else 1
@@ -292,16 +298,52 @@ def _solved_fixings(fixed: dict[str, int]):
     known = sum(v << 3 * j for j, v in enumerate(other) if v is not None)
     unknown = sum(7 << 3 * j for j, v in enumerate(other) if v is None)
     slots = [i for i, v in enumerate(swept) if v is None]
-    for values in product(gf8.ELEMENTS, repeat=len(slots)):
-        for i, v in zip(slots, values):
-            swept[i] = v
-        system = [
-            (row & unknown, (row & known).bit_count() & 1)
-            for row in phasespace.equation_rows(swept)
-        ]
-        solved = _solve_gf2(system, unknown)
-        if solved is not None:
-            yield (side, tuple(swept), known, *solved)
+
+    def augmented(values):
+        return [(row & unknown) << 1 | (row & known).bit_count() & 1
+                for row in phasespace.equation_rows(values)]
+
+    def digit(j, v):
+        return gf8.ORDER_KEY[v] << 33 - 6 * j - 3 * side
+
+    # per slot, the rows of each of its 3 bits; a row belongs to the level
+    # of the last slot that reaches it (-1: none), and rows go in level order
+    units, level_of = [], [-1] * 12
+    for lv, i in enumerate(slots):
+        bits = [augmented([1 << bit if j == i else 0 for j in range(6)]) for bit in range(3)]
+        level_of = [lv if x | y | z else last for last, x, y, z in zip(level_of, *bits)]
+        units.append(bits)
+    order = sorted(range(12), key=level_of.__getitem__)
+    base = augmented([v or 0 for v in swept])
+    base = [base[k] for k in order]
+    root = done = level_of.count(-1)
+    plan = []  # per level: (rows eliminated there, [(key digit, parts of the rows left)])
+    for lv, (i, bits) in enumerate(zip(slots, units)):
+        parts = [[0] * (12 - done)]  # indexed by the value's 3 bits
+        for bit_rows in bits:
+            parts += [[p ^ bit_rows[k] for p, k in zip(part, order[done:])] for part in parts]
+        ready = level_of.count(lv)
+        plan.append((ready, [(digit(i, v), parts[v]) for v in gf8.ELEMENTS]))
+        done += ready
+    digits = sum(digit(j, v) for j, v in enumerate(swept) if v is not None)
+
+    def walk(lv, rows, pivots, digits):
+        if lv == len(plan):
+            yield side, digits, known, *_back_substitute(pivots, unknown)
+            return
+        ready, parts = plan[lv]
+        for digit, part in parts:
+            here = [r ^ p for r, p in zip(rows, part)]
+            found = pivots
+            if ready:
+                found = phasespace.echelon([*pivots.values(), *here[:ready]])[0]
+                if 0 in found:
+                    continue
+            yield from walk(lv + 1, here[ready:], found, digits | digit)
+
+    pivots = phasespace.echelon(base[:root])[0]
+    if 0 not in pivots:
+        yield from walk(0, base[root:], pivots, digits)
 
 
 def count_assignments(fixed: dict[str, int]) -> int:
@@ -335,10 +377,8 @@ def enumerate_assignments(fixed: dict[str, int], *, allow_large: bool = False) -
             )
         systems.append(system)
     keys = []
-    for side, swept, known, particular, basis in systems:
-        # the swept side's digits once per system, the other side's 18
-        # bits o through two 9-bit lookups per solution
-        swept_digits = sum(gf8.ORDER_KEY[v] << 33 - 6 * j - 3 * side for j, v in enumerate(swept))
+    for side, swept_digits, known, particular, basis in systems:
+        # the other side's 18 bits o through two 9-bit lookups per solution
         low, high = _SPREAD[1 - side]
         span = [known | particular]
         for vec in basis:

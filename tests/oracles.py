@@ -7,17 +7,22 @@ label recomputed numerically from the purities of the single-qubit
 reduced states (exactly 1 or 1/2 for stabilizer states), the
 unbiasedness and orthonormality defects of single bases and pairs, and
 the commuting class built by multiplying three generators, the greedy
-basis found by growing the span as a set, and the striation table built
-by the paper's additive recursion.  No library code calls them.
+basis found by growing the span as a set, the striation table built
+by the paper's additive recursion, and the solver's GF(2) systems built
+and eliminated from scratch at each sweep point.  No library code calls
+them.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import TYPE_CHECKING
+
+from mub3q import gf8, phasespace
 
 from mub3q.mub import Basis, SeparabilityError, _label_of_pure_count
 from mub3q.pauli import OperatorClass, PauliOp, commutes_op, multiply
-from mub3q.phasespace import AnticommutingRowError, Point, SeedSet, StriationTable
+from mub3q.phasespace import PARAM_NAMES, AnticommutingRowError, Point, SeedSet, StriationTable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,3 +136,60 @@ def recursive_table(seed: SeedSet) -> StriationTable:
     for shift in range(7):  # rows 3..9
         rows.append(list(map(add_points, row2, row1[shift:] + row1[:shift])))
     return StriationTable(rows=tuple(map(tuple, rows)))
+
+
+def solve_gf2(system: list[tuple[int, int]], unknown: int):
+    """Solve a GF(2) linear system of (row, bit) pairs, each row a bitmask
+    over the columns set in `unknown`.
+
+    Returns (particular solution, nullspace basis) as bitmasks over those
+    columns, or None if the system is inconsistent: echelon of the rows
+    row << 1 | bit has a pivot at bit 0.  A pivot's row holds no column
+    above its own, so one pass over the pivots in increasing order sets
+    each pivot column, in the particular solution (free columns 0) and in
+    the nullspace vector of each free column.
+    """
+    pivots, _ = phasespace.echelon([r << 1 | b for r, b in system])
+    if 0 in pivots:
+        return None
+    particular = 0
+    columns = range(unknown.bit_length())
+    basis = [1 << c for c in columns if unknown >> c & 1 and c + 1 not in pivots]
+    for top in sorted(pivots):
+        col = 1 << (top - 1)
+        below = pivots[top] >> 1 ^ col
+        if pivots[top] & 1 ^ (below & particular).bit_count() & 1:
+            particular |= col
+        basis = [v | col if (below & v).bit_count() & 1 else v for v in basis]
+    return particular, basis
+
+
+def pointwise_systems(fixed: dict[str, int]):
+    """The solver's sweep, one GF(2) system per sweep point, each built
+    by phasespace.equation_rows and solved from scratch.
+
+    The free coordinates of the side with fewer of them run over GF(8);
+    at each sweep point, phasespace.equation_rows gives the rows over the
+    other side's coordinates o, whose fixed bits move to the right-hand
+    side.
+
+    Yields (swept side, 0 for a and 1 for b; the swept coordinates; o with
+    its unknown bits zero; particular solution; nullspace basis) for each
+    sweep point whose system is consistent.
+    """
+    a, b = ([fixed.get(PARAM_NAMES[2 * i + side]) for i in range(6)] for side in (0, 1))
+    side = 0 if a.count(None) <= b.count(None) else 1
+    swept, other = (a, b) if side == 0 else (b, a)
+    known = sum(v << 3 * j for j, v in enumerate(other) if v is not None)
+    unknown = sum(7 << 3 * j for j, v in enumerate(other) if v is None)
+    slots = [i for i, v in enumerate(swept) if v is None]
+    for values in product(gf8.ELEMENTS, repeat=len(slots)):
+        for i, v in zip(slots, values):
+            swept[i] = v
+        system = [
+            (row & unknown, (row & known).bit_count() & 1)
+            for row in phasespace.equation_rows(swept)
+        ]
+        solved = solve_gf2(system, unknown)
+        if solved is not None:
+            yield (side, tuple(swept), known, *solved)

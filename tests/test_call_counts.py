@@ -13,6 +13,7 @@ import mub3q
 from mub3q import cli, mub, pauli, phasespace, reference, solver
 
 from test_cli import GENERIC_SIX, SEED_M3, SEED_NO_AXIS, THREE_AXES
+from test_solver import PRUNED
 
 
 def _counted(monkeypatch, targets) -> Counter:
@@ -90,6 +91,27 @@ def test_every_scheme_solves_through_one_enumeration(monkeypatch, capsys, argv):
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)
     assert counts == {"enumerate_assignments": 1}
+
+
+def test_generic_sweep_builds_rows_once_per_fixing(monkeypatch, capsys):
+    # 7 free, three of them a coordinates: a 512-point sweep.  The rows
+    # come from one call for the fixed part and three per swept coordinate.
+    counts = _counted(monkeypatch, ((phasespace, "equation_rows"),))
+    fixes = ("a11=m4", "a21=m", "a23=m3", "b11=m", "b12=m")
+    argv = ["solve", "--scenario", "generic", "--allow-large",
+            *(w for pair in fixes for w in ("--fix", pair))]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert counts["equation_rows"] <= 1 + 8 * 3
+
+
+def test_pruned_sweep_eliminates_less_often_than_it_has_points(monkeypatch, capsys):
+    counts = _counted(monkeypatch, ((phasespace, "echelon"),))
+    argv = ["solve", "--scenario", "generic",
+            *(w for n, t in PRUNED.items() for w in ("--fix", f"{n}={t}"))]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert counts["echelon"] < 8**3
 
 
 @pytest.mark.parametrize("command", ["table", "verify", "classify"])

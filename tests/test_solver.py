@@ -2,7 +2,7 @@
 
 import json
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -10,14 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mub3q import gf8, reference
-from mub3q.phasespace import COEFFICIENTS, PARAM_NAMES, InvalidSeedError, SeedSet, build_table, check_all_striation_conditions, failing_equations, validate_table
+from mub3q.phasespace import COEFFICIENTS, PARAM_NAMES, InvalidSeedError, SeedSet, build_table, check_all_striation_conditions, echelon, failing_equations, validate_table
 from mub3q.solver import (
     CostGuardError,
     InvalidInputError,
     SCHEMES,
     Scenario,
+    _SHIFT,
+    _back_substitute,
     _form_is_nonzero,
-    _solve_gf2,
+    _solved_fixings,
     count_assignments,
     enumerate_assignments,
     solve_scenario,
@@ -25,7 +27,7 @@ from mub3q.solver import (
 )
 
 from conftest import PRINTED_EQUATIONS, decode_key, solve, tk
-from oracles import recursive_table, span_greedy_basis
+from oracles import pointwise_systems, recursive_table, span_greedy_basis
 
 NONZERO = gf8.ELEMENTS[1:]
 
@@ -482,14 +484,85 @@ def test_solve_gf2_matches_brute_force(args):
         x for x in _span(0, columns)
         if all((row & x).bit_count() % 2 == bit for row, bit in system)
     }
-    solved = _solve_gf2(system, unknown)
+    # inconsistent iff echelon has a pivot at bit 0; else back-substitute
+    pivots, _ = echelon([r << 1 | b for r, b in system])
     if not satisfying:
-        assert solved is None
+        assert 0 in pivots
         return
-    particular, basis = solved
+    assert 0 not in pivots
+    particular, basis = _back_substitute(pivots, unknown)
     span = _span(particular, basis)
     assert span == satisfying
     assert len(span) == 1 << len(basis)  # the basis is independent
+
+
+# Three a coordinates swept, a12, a13 and a22: 512 sweep points, of which
+# 48 are consistent.  Six of the eight values of a12 give an inconsistent
+# system before a13 and a22 are set, so the walk drops their subtrees.
+PRUNED = {"a11": "m4", "a21": "m", "a23": "m3", "b11": "m", "b12": "m", "b13": "m3"}
+
+
+def _assert_walk_matches_pointwise(fixed: dict[str, int], limit: int | None = None):
+    """The walk and the pointwise oracle list the same consistent sweep
+    points in the same order (the first `limit` of them), each with the
+    same known | particular and the same span of the basis; with no
+    limit, count_assignments agrees too."""
+    walk = list(islice(_solved_fixings(fixed), limit))
+    pointwise = list(islice(pointwise_systems(fixed), limit))
+    assert len(walk) == len(pointwise)
+    for (side, digits, known, particular, basis), (o_side, swept, o_known, o_particular, o_basis) in zip(walk, pointwise):
+        assert side == o_side
+        assert digits == sum(
+            gf8.ORDER_KEY[v] << _SHIFT[PARAM_NAMES[2 * j + side]] for j, v in enumerate(swept)
+        )
+        assert known | particular == o_known | o_particular
+        rank = len(echelon(basis)[0])
+        assert rank == len(basis) == len(o_basis) == len(echelon(basis + o_basis)[0])
+    if limit is None:
+        assert count_assignments(fixed) == sum(1 << len(basis) for *_, basis in pointwise)
+    return pointwise
+
+
+@st.composite
+def _sweep_fixings(draw):
+    """A generic fixing whose sweep runs over k coordinates, k in 0..6:
+    k free coordinates on one side and k or more on the other."""
+    k = draw(st.integers(0, 6))
+    free = (k, draw(st.integers(k, 6)))
+    if draw(st.booleans()):
+        free = free[::-1]
+    fixed = {}
+    for side, count in enumerate(free):
+        for j in draw(st.permutations(range(6)))[count:]:
+            fixed[PARAM_NAMES[2 * j + side]] = draw(st.sampled_from(gf8.ELEMENTS))
+    return fixed, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sweep_fixings())
+def test_walk_matches_pointwise_sweep(args):
+    # every sweep point up to 8^4 of them, and the count; beyond that the
+    # first 300 consistent points (CI counts the 8^6-point sweep of {})
+    fixed, k = args
+    _assert_walk_matches_pointwise(fixed, limit=None if k <= 4 else 300)
+
+
+@pytest.mark.parametrize("kind, fixed", [
+    ("three-axes", {"l1": "m2", "l2": "m6"}),
+    ("two-axes", TWO_AXES),
+    ("one-axis", ONE_AXIS),
+    ("no-axis", NO_AXIS),
+], ids=["three-axes", "two-axes", "one-axis", "no-axis"])
+def test_walk_matches_pointwise_sweep_on_schemes(kind, fixed):
+    pinned = Scenario.make(kind, {n: tk(t) for n, t in fixed.items()}).pinned()
+    assert _assert_walk_matches_pointwise(pinned)
+
+
+def test_walk_matches_pointwise_sweep_with_pruned_prefixes():
+    fixed = {n: tk(t) for n, t in PRUNED.items()}
+    pointwise = _assert_walk_matches_pointwise(fixed)
+    assert len(pointwise) == 48
+    assert {swept[1] for _, swept, *_ in pointwise} == {tk("m2"), tk("m4")}
 
 
 def _commute(p: int, q: int) -> bool:
