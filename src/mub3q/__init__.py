@@ -3,9 +3,9 @@
 The pipeline: solve the commutation equations over GF(8) for six seed
 points, extend them to a 9x7 table of striation-generating curves in the
 8x8 discrete phase space, map each row to a class of 7 commuting Pauli
-operators, build the 9 common eigenbases and check their unbiasedness
-numerically.  The separability structure is read exactly from the
-operator classes.
+operators and check exactly, from the rows, that their 9 common
+eigenbases are mutually unbiased.  The separability structure is read
+exactly from the operator classes.
 """
 
 from .gf8 import ELEMENTS, from_token, to_token, trace

@@ -208,6 +208,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.pretty and args.amplitudes:
+        raise UsageError("--amplitudes is for the JSON report, not --pretty")
     seed = _load_seed(args)
     table = phasespace.build_table(seed)
     report = mub.verify_mub_set(table)
@@ -220,8 +222,8 @@ def _cmd_verify(args) -> int:
         payload = report.to_json()
         if args.amplitudes:
             payload["bases"] = [
-                [[[float(a.real), float(a.imag)] for a in state] for state in b.states]
-                for b in report.bases
+                [[[a.real, a.imag] for a in state] for state in b.states]
+                for b in mub.build_bases(table)
             ]
         print(_json_dumps(payload))
     if not report.passed:

@@ -4,9 +4,15 @@ Each class of 7 commuting Paulis has a common eigenbasis of 8 states,
 one per sign pattern of the three generators.  The Paulis are signed
 permutations, so each state is built exactly from the 8 group elements
 as (x mask, z mask, phase) triples: no matrix is multiplied and no
-projector is formed.  Two bases are mutually unbiased when every cross
-overlap has squared magnitude 1/8; `verify_mub_set` reads every overlap
-of a table's nine bases from one 72x72 Gram matrix of their states.
+projector is formed.
+
+Two bases are mutually unbiased when every cross overlap has squared
+magnitude 1/8.  For the eigenbases of two Lagrangian rows S and T that
+share 2^k - 1 nonzero points, each squared overlap is 2^k/8 or 0
+(Aaronson & Gottesman, PRA 70, 052328 (2004)), so the pair is unbiased
+iff the rows share no point.  `verify_mub_set` decides exactly from the
+rows, and builds no basis; the tests check it against a 72x72 Gram
+matrix of the states.
 
 Each basis is labeled triseparable / biseparable / nonseparable exactly,
 from its class: qubit j of every eigenstate is pure iff the class holds
@@ -16,25 +22,17 @@ no pure qubits give the three labels.  The tests check the rule against
 the purities of the single-qubit reduced states, which for these
 stabilizer states are exactly 1 or 1/2.
 
-numpy is imported by `eigenbasis` and `verify_mub_set` only, so the
-exact labels and structure need no numpy.
+The module needs no numpy: the states are tuples of Python complex.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import product
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from itertools import combinations, product
 
 from .pauli import OperatorClass, class_from_row, commutes_op
-from .phasespace import StriationTable
-
-if TYPE_CHECKING:
-    import numpy as np
-
-ORTHO_TOL = 1e-10
-UNBIAS_TOL = 1e-10
+from .phasespace import StriationTable, row_mask
 
 TRISEPARABLE = "triseparable"
 BISEPARABLE = "biseparable"
@@ -66,17 +64,18 @@ class SeparabilityError(ValueError):
 
 @dataclass(frozen=True)
 class Basis:
-    """8 orthonormal states (rows of `states`) with a separability label."""
+    """8 orthonormal states of 8 amplitudes each, with a separability label."""
 
-    states: np.ndarray
+    states: tuple[tuple[complex, ...], ...]
     label: str
 
 
 def _group(gens) -> list[tuple[int, int, int]]:
     """The 8 products of three commuting Hermitian generators as
     (x mask, z mask, e) triples, element t multiplying the generators
-    whose bits are set in t.  The operator maps basis vector e_c to
-    i^(e + 2 popcount(c & z)) e_(c ^ x), as in `PauliOp.matrix`."""
+    whose bits are set in t.  With qubit 1 the most significant bit of a
+    basis index, the operator maps basis vector e_c to
+    i^(e + 2 popcount(c & z)) e_(c ^ x)."""
     elems = [(0, 0, 0)]
     for k, g in enumerate(gens):
         if g.phase % 2:
@@ -107,8 +106,6 @@ def eigenbasis(op_class: OperatorClass) -> Basis:
     projector is formed.  The label is the class's exact one
     (`class_label`).
     """
-    import numpy as np
-
     elems = _group(op_class.generator_ops())
     # The diagonal entry of column c adds the units of the n elements with
     # no X bits; it is nonzero iff each of them acts on e_c as +1.  Then
@@ -128,8 +125,8 @@ def eigenbasis(op_class: OperatorClass) -> Basis:
             if all((e + 2 * (c & z).bit_count()) % 4 == 0 for z, e in diagonal)
         )
         column = {c ^ x: (e + 2 * (c & z).bit_count()) % 4 for x, z, e in signed}
-        states.append([units[column[r]] if r in column else 0j for r in range(8)])
-    return Basis(states=np.array(states, dtype=complex), label=class_label(op_class))
+        states.append(tuple(units[column[r]] if r in column else 0j for r in range(8)))
+    return Basis(states=tuple(states), label=class_label(op_class))
 
 
 def _label_of_pure_count(pure_count: int) -> str:
@@ -157,13 +154,12 @@ def build_bases(table: StriationTable) -> list[Basis]:
 
 @dataclass(frozen=True)
 class MubReport:
-    """The checks of a table's nine bases; `bases` is not part of the JSON."""
+    """The checks of a table's nine bases."""
 
     orthonormality_defect: float
     unbiasedness_defect: float
     structure: tuple[int, int, int]
     passed: bool
-    bases: tuple[Basis, ...] = field(compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -189,26 +185,22 @@ def structure_of(labels: list[str]) -> tuple[int, int, int]:
 
 
 def verify_mub_set(table: StriationTable) -> MubReport:
-    """Build all nine bases and measure orthonormality and unbiasedness
-    from one Gram matrix of their 72 states: the orthonormality defect of
-    its diagonal 8x8 blocks and the unbiasedness defect, max over pairs of
-    | |<psi|phi>|^2 - 1/8 |, of the 36 blocks above them.  The report
-    keeps the bases, so callers need not build them again."""
-    import numpy as np
+    """Check a table's nine bases exactly, from its rows; no basis is built.
 
-    bases = build_bases(table)
-    k = len(bases)
-    stacked = np.concatenate([b.states for b in bases])
-    blocks = (stacked.conj() @ stacked.T).reshape(k, 8, k, 8).transpose(0, 2, 1, 3)
-    diag = np.arange(k)
-    ortho = float(np.max(np.abs(blocks[diag, diag] - np.eye(8))))
-    unbias = float(np.max(np.abs(np.abs(blocks[np.triu_indices(k, 1)]) ** 2 - 0.125)))
+    Every row must pass `row_generators` (through `table_labels`), so each
+    basis is orthonormal by construction: its 8 states have distinct sign
+    patterns, and the orthonormality defect is 0.  Two rows sharing 2^k - 1
+    nonzero points give squared overlaps 2^k/8 and 0, so the unbiasedness
+    defect, max over pairs of | |<psi|phi>|^2 - 1/8 |, is the largest
+    number of points a pair of rows shares, over 8."""
+    labels = table_labels(table)
+    masks = [row_mask(row) for row in table.rows]
+    shared = max(((m & n).bit_count() for m, n in combinations(masks, 2)), default=0)
     return MubReport(
-        orthonormality_defect=ortho,
-        unbiasedness_defect=unbias,
-        structure=structure_of([b.label for b in bases]),
-        passed=ortho < ORTHO_TOL and unbias < UNBIAS_TOL,
-        bases=tuple(bases),
+        orthonormality_defect=0.0,
+        unbiasedness_defect=shared / 8,
+        structure=structure_of(labels),
+        passed=shared == 0,
     )
 
 

@@ -11,25 +11,20 @@ The phase-space map sends a point (a, b) to the operator with X mask
 SELF_DUAL_MASK[a] and Z mask SELF_DUAL_MASK[b] (`gf8`); under it,
 operator commutation is exactly the trace condition on points.
 
-numpy is imported by `PauliOp.matrix` only; the symplectic algebra
-needs none.
+The module builds no matrix: the tests hold the 8x8 matrix of an
+operator, as their oracle of its phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .gf8 import SELF_DUAL_MASK
 from .phasespace import AnticommutingRowError, Point, row_generators  # noqa: F401 (raised by class_from_row)
 
-if TYPE_CHECKING:
-    import numpy as np
-
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_OF_LETTER = {v: k for k, v in _LETTERS.items()}
 _PHASE_TOKENS = ("", "+i", "-", "-i")
-_POWERS_OF_I = (1, 1j, -1, -1j)
 
 
 @dataclass(frozen=True)
@@ -61,22 +56,6 @@ class PauliOp:
             x, z = x << 1 | bx, z << 1 | bz
         return cls(x=x, z=z, phase=phase)
 
-    def matrix(self) -> np.ndarray:
-        """The 8x8 complex matrix (exact phase included).
-
-        It is a signed permutation: with qubit 1 the most significant bit
-        of a basis index, column c has its one nonzero entry in row c ^ x,
-        equal to i^(phase + #Y) * (-1)^popcount(c & z), where #Y counts
-        the qubits with both bits set.  This equals the Kronecker product
-        of the single-qubit matrices."""
-        import numpy as np
-
-        base = self.phase + (self.x & self.z).bit_count()
-        out = np.zeros((8, 8), dtype=complex)
-        for c in range(8):
-            out[c ^ self.x, c] = _POWERS_OF_I[(base + 2 * (c & self.z).bit_count()) % 4]
-        return out
-
     def __mul__(self, other: "PauliOp") -> "PauliOp":
         return multiply(self, other)
 
@@ -92,7 +71,7 @@ def pauli_to_point(op: PauliOp) -> Point:
 
 
 def multiply(p: PauliOp, q: PauliOp) -> PauliOp:
-    """Exact product: matrix(multiply(p, q)) == matrix(p) @ matrix(q).
+    """Exact product: the matrix of multiply(p, q) is that of p times that of q.
     As Y = i X Z, the word (x, z) is i^-popcount(x & z) X^x Z^z, and Z^z_p
     passes X^x_q with the sign (-1)^popcount(z_p & x_q)."""
     x, z = p.x ^ q.x, p.z ^ q.z

@@ -133,6 +133,14 @@ def echelon(vectors) -> tuple[dict[int, int], list[int]]:
     return pivots, kept
 
 
+def row_mask(row: tuple[Point, ...]) -> int:
+    """The 64-bit mask of a row's points: bit pack(p) for each point p."""
+    mask = 0
+    for p in row:
+        mask |= 1 << pack(p)
+    return mask
+
+
 def row_generators(row: tuple[Point, ...]) -> tuple[int, int, int]:
     """Indices of the first three GF(2)-independent points of a striation
     row: 7 distinct nonzero points that pairwise commute.  Their span is
@@ -140,7 +148,7 @@ def row_generators(row: tuple[Point, ...]) -> tuple[int, int, int]:
     Lagrangian and they are its nonzero points.  Any other row raises
     InvalidTableError (AnticommutingRowError for a non-commuting pair)."""
     packed = [pack(p) for p in row]
-    members = sum(1 << x for x in set(packed))
+    members = row_mask(row)
     if len(packed) != 7 or members.bit_count() != 7 or members & 1:
         raise InvalidTableError("a row must hold 7 distinct nonzero points")
     for p, x in zip(row, packed):

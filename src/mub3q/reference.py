@@ -299,35 +299,45 @@ def _tables(example: Example, sols: list[solver.Solution]) -> list[StriationTabl
 
 
 def system_solutions(system, unknowns: tuple[str, ...]) -> list[tuple[int, ...]]:
-    """Brute-force the displayed system over its unknowns (vectorized)."""
-    import numpy as np
+    """Brute-force the displayed system over its unknowns.
 
-    n = len(unknowns)
-    idx = np.arange(8**n, dtype=np.int64)
-    elems = np.array(gf8.ELEMENTS, dtype=np.uint8)
-    env = {
-        name: elems[(idx // 8 ** (n - 1 - k)) % 8] for k, name in enumerate(unknowns)
-    }
-    mul_t = np.array(gf8.MUL, dtype=np.uint8)
-    tr_t = np.array(gf8.TRACE, dtype=np.uint8)
-
-    def side_bits(side):
-        acc = None
-        for u, v in side:
-            a = env[u] if isinstance(u, str) else u
-            b = env[v] if isinstance(v, str) else v
-            term = mul_t[a, b]
-            acc = term if acc is None else acc ^ term
-        return tr_t[acc]
-
-    mask = np.ones(8**n, dtype=bool)
+    The walk sets one unknown per level, each over gf8.ELEMENTS with the
+    first unknown slowest, so solutions come out in that order.  Each
+    equation is tested on every candidate that reaches the level of its
+    last unknown; one with no unknown is tested once, before the walk.
+    """
+    level = {name: k for k, name in enumerate(unknowns)}
+    checks: list[list] = [[] for _ in range(len(unknowns) + 1)]
     for lhs, rhs in system:
-        left = side_bits(lhs)
-        right = np.uint8(rhs) if isinstance(rhs, int) else side_bits(rhs)
-        mask &= left == right
-    out = []
-    for h in np.flatnonzero(mask):
-        out.append(tuple(int(gf8.ELEMENTS[(h // 8 ** (n - 1 - k)) % 8]) for k in range(n)))
+        terms = lhs if isinstance(rhs, int) else lhs + rhs
+        names = [atom for term in terms for atom in term if isinstance(atom, str)]
+        checks[max((level[name] + 1 for name in names), default=0)].append((lhs, rhs))
+    values: dict[str, int] = {}  # a constant atom is looked up as itself
+
+    def trace(side) -> int:
+        acc = 0
+        for u, v in side:
+            acc ^= gf8.MUL[values.get(u, u)][values.get(v, v)]
+        return gf8.TRACE[acc]
+
+    def holds(k: int) -> bool:
+        return all(
+            trace(lhs) == (rhs if isinstance(rhs, int) else trace(rhs)) for lhs, rhs in checks[k]
+        )
+
+    out: list[tuple[int, ...]] = []
+
+    def walk(k: int) -> None:
+        if k == len(unknowns):
+            out.append(tuple(values[name] for name in unknowns))
+            return
+        for v in gf8.ELEMENTS:
+            values[unknowns[k]] = v
+            if holds(k + 1):
+                walk(k + 1)
+
+    if holds(0):
+        walk(0)
     return out
 
 

@@ -140,6 +140,7 @@ def corpus_argvs() -> list[list[str]]:
         ["verify", *flags],
         ["verify", *flags, "--pretty"],
         ["verify", *flags, "--amplitudes"],
+        ["verify", *flags, "--pretty", "--amplitudes"],  # refused: usage error
         ["verify", *_seed_flags(seeds[2])],
         ["verify", *_seed_flags(bad_seed)],
         ["verify", *_seed_flags(origin_seed)],

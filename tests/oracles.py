@@ -1,16 +1,19 @@
 """Reference computations that the tests compare the library against.
 
 The library reads separability labels exactly from the operator classes
-and measures both defects of a table from one Gram matrix of its bases.
+and decides a table's MUB verdict and defects exactly from its rows.
 These are the independent checks of those results: the separability
 label recomputed numerically from the purities of the single-qubit
-reduced states (exactly 1 or 1/2 for stabilizer states), the
-unbiasedness and orthonormality defects of single bases and pairs, and
-the commuting class built by multiplying three generators, the greedy
-basis found by growing the span as a set, the striation table built
-by the paper's additive recursion, and the solver's GF(2) systems built
-and eliminated from scratch at each sweep point.  No library code calls
-them.
+reduced states (exactly 1 or 1/2 for stabilizer states), both defects of
+a table measured from one 72x72 Gram matrix of its bases' states, the
+unbiasedness and orthonormality defects of single bases and pairs, the
+8x8 matrix of a Pauli operator, and the commuting class built by
+multiplying three generators, the greedy basis found by growing the span
+as a set, the striation table built by the paper's additive recursion,
+the solver's GF(2) systems built and eliminated from scratch at each
+sweep point, and a displayed trace system evaluated on every candidate.
+No library code calls them; numpy is needed here and nowhere in the
+library.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from mub3q import gf8, phasespace
 
-from mub3q.mub import Basis, SeparabilityError, _label_of_pure_count
+from mub3q.mub import Basis, SeparabilityError, _label_of_pure_count, build_bases
 from mub3q.pauli import OperatorClass, PauliOp, commutes_op, multiply
 from mub3q.phasespace import PARAM_NAMES, AnticommutingRowError, Point, SeedSet, StriationTable
 
@@ -28,14 +31,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 PURITY_TOL = 1e-9
+ORTHO_TOL = 1e-10
+UNBIAS_TOL = 1e-10
 
 IDENTITY = PauliOp(0, 0, 0)
 
 
-def _single_qubit_purities(state: np.ndarray) -> tuple[float, float, float]:
+def _single_qubit_purities(state) -> tuple[float, float, float]:
     import numpy as np
 
-    psi = state.reshape(2, 2, 2)
+    psi = np.asarray(state).reshape(2, 2, 2)
     out = []
     for axis in range(3):
         rho = np.tensordot(
@@ -47,7 +52,7 @@ def _single_qubit_purities(state: np.ndarray) -> tuple[float, float, float]:
     return tuple(out)
 
 
-def _classify_states(states: np.ndarray) -> str:
+def _classify_states(states) -> str:
     patterns = set()
     for state in states:
         purities = _single_qubit_purities(state)
@@ -67,15 +72,76 @@ def unbiasedness(b1: Basis, b2: Basis) -> float:
     """Max over the 64 cross pairs of | |<psi|phi>|^2 - 1/8 |."""
     import numpy as np
 
-    overlaps = b1.states.conj() @ b2.states.T
+    overlaps = np.array(b1.states).conj() @ np.array(b2.states).T
     return float(np.max(np.abs(np.abs(overlaps) ** 2 - 0.125)))
 
 
 def orthonormality_defect(basis: Basis) -> float:
     import numpy as np
 
-    gram = basis.states.conj() @ basis.states.T
+    states = np.array(basis.states)
+    gram = states.conj() @ states.T
     return float(np.max(np.abs(gram - np.eye(8))))
+
+
+def gram_check(table: StriationTable) -> tuple[float, float, bool]:
+    """Build all nine bases and measure orthonormality and unbiasedness
+    from one Gram matrix of their 72 states: the orthonormality defect of
+    its diagonal 8x8 blocks and the unbiasedness defect, max over pairs of
+    | |<psi|phi>|^2 - 1/8 |, of the 36 blocks above them.  Returns both
+    defects and whether each is below its tolerance."""
+    import numpy as np
+
+    bases = build_bases(table)
+    k = len(bases)
+    stacked = np.concatenate([np.array(b.states) for b in bases])
+    blocks = (stacked.conj() @ stacked.T).reshape(k, 8, k, 8).transpose(0, 2, 1, 3)
+    diag = np.arange(k)
+    ortho = float(np.max(np.abs(blocks[diag, diag] - np.eye(8))))
+    unbias = float(np.max(np.abs(np.abs(blocks[np.triu_indices(k, 1)]) ** 2 - 0.125)))
+    return ortho, unbias, ortho < ORTHO_TOL and unbias < UNBIAS_TOL
+
+
+_POWERS_OF_I = (1, 1j, -1, -1j)
+
+
+def pauli_matrix(op: PauliOp) -> np.ndarray:
+    """The 8x8 complex matrix of an operator (exact phase included).
+
+    It is a signed permutation: with qubit 1 the most significant bit
+    of a basis index, column c has its one nonzero entry in row c ^ x,
+    equal to i^(phase + #Y) * (-1)^popcount(c & z), where #Y counts
+    the qubits with both bits set.  This equals the Kronecker product
+    of the single-qubit matrices."""
+    import numpy as np
+
+    base = op.phase + (op.x & op.z).bit_count()
+    out = np.zeros((8, 8), dtype=complex)
+    for c in range(8):
+        out[c ^ op.x, c] = _POWERS_OF_I[(base + 2 * (c & op.z).bit_count()) % 4]
+    return out
+
+
+def brute_force_system(system, unknowns: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """Every equation of a displayed trace system on every candidate of
+    itertools.product over gf8.ELEMENTS, first unknown slowest."""
+
+    def trace(side, values) -> int:
+        acc = 0
+        for term in side:
+            u, v = (values[a] if isinstance(a, str) else a for a in term)
+            acc ^= gf8.MUL[u][v]
+        return gf8.TRACE[acc]
+
+    out = []
+    for candidate in product(gf8.ELEMENTS, repeat=len(unknowns)):
+        values = dict(zip(unknowns, candidate))
+        if all(
+            trace(lhs, values) == (rhs if isinstance(rhs, int) else trace(rhs, values))
+            for lhs, rhs in system
+        ):
+            out.append(candidate)
+    return out
 
 
 def _check_class(ops: tuple[PauliOp, ...]) -> None:

@@ -9,8 +9,9 @@ from mub3q import mub, pauli, phasespace, solver
 # References the tests compare against; they live in tests/oracles.py.
 MOVED = {
     mub: ("separability", "_classify_states", "_single_qubit_purities", "PURITY_TOL",
-          "unbiasedness", "orthonormality_defect"),
-    pauli: ("class_from_generators", "_check_class", "IDENTITY"),
+          "unbiasedness", "orthonormality_defect", "ORTHO_TOL", "UNBIAS_TOL"),
+    pauli: ("class_from_generators", "_check_class", "IDENTITY", "_POWERS_OF_I"),
+    pauli.PauliOp: ("matrix",),
 }
 
 # Superseded by failing_equations, SeedSet.rank, echelon, COEFFICIENTS and

@@ -403,6 +403,13 @@ def test_verify_amplitudes(capsys):
     assert len(bases[0]) == 8 and len(bases[0][0]) == 8 and len(bases[0][0][0]) == 2
 
 
+def test_verify_pretty_refuses_amplitudes(capsys):
+    # the plain-text report has no place for the amplitudes
+    code, out, err = run_cli(["verify", *SEED_M3, "--pretty", "--amplitudes"], capsys)
+    assert code == 2 and out == ""
+    assert err == "usage error: --amplitudes is for the JSON report, not --pretty\n"
+
+
 def test_verify_invalid_seed_exit_1(capsys):
     bad = list(SEED_M3)
     bad[bad.index("--b13") + 1] = "m4"
@@ -563,9 +570,17 @@ def test_closed_output_pipe_ends_in_one_error_line(argv, head, unbuffered):
 
 
 def test_exact_commands_run_without_numpy(capsys):
-    # numpy is imported only by the numeric checks: with numpy made
-    # unimportable, these commands give the same output as here
-    argvs = [THREE_AXES, ["table", *SEED_M3, "--render", "--curves"], ["classify", *SEED_M3]]
+    # the library needs no numpy: with numpy made unimportable, every
+    # command gives the same output and exit code as here
+    argvs = [
+        THREE_AXES,
+        ["table", *SEED_M3, "--render", "--curves"],
+        ["classify", *SEED_M3],
+        ["verify", *SEED_M3],
+        ["verify", *SEED_M3, "--amplitudes"],
+        ["verify", *SEED_M3, "--pretty"],
+        ["reproduce-paper", "--json"],
+    ]
     script = (
         "import contextlib, io, json, sys\n"
         "sys.modules['numpy'] = None\n"

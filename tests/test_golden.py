@@ -2,8 +2,8 @@
 
 The corpus (tests/golden/cli_corpus.json) covers each subcommand, both
 output formats and the error paths; tests/golden/record.py writes it.
-Floats in `verify` output are compared as printed, so a numpy whose BLAS
-rounds differently may move the last digits of a defect.
+The `verify` defects are exact (0 for a passing table), and the amplitudes
+are built in Python floats, so no numeric library can move a digit.
 """
 
 import contextlib

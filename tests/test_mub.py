@@ -1,6 +1,7 @@
 """Eigenbases, unbiasedness, separability labels, structure tuples."""
 
 import random
+import sys
 from itertools import combinations, product
 
 import numpy as np
@@ -30,7 +31,9 @@ from conftest import seed_from_tokens, symplectic_image
 from oracles import (
     _single_qubit_purities,
     class_from_generators,
+    gram_check,
     orthonormality_defect,
+    pauli_matrix,
     separability,
     unbiasedness,
 )
@@ -41,17 +44,19 @@ def _class(*labels):
 
 def test_z_class_gives_computational_basis():
     basis = eigenbasis(_class("ZII", "IZI", "IIZ"))
+    states = np.array(basis.states)
     # one standard basis vector per state, in some order, phases +1
-    mags = np.abs(basis.states)
+    mags = np.abs(states)
     assert np.allclose(np.sort(mags, axis=1)[:, :7], 0, atol=1e-12)
     assert np.allclose(np.max(mags, axis=1), 1, atol=1e-12)
-    assert np.allclose(basis.states[np.abs(basis.states) > 0.5].imag, 0)
+    assert np.allclose(states[np.abs(states) > 0.5].imag, 0)
     assert basis.label == TRISEPARABLE
 
 
 def test_x_class_gives_hadamard_product_basis():
     basis = eigenbasis(_class("XII", "IXI", "IIX"))
-    assert np.allclose(np.abs(basis.states), 1 / np.sqrt(8), atol=1e-12)
+    states = np.array(basis.states)
+    assert np.allclose(np.abs(states), 1 / np.sqrt(8), atol=1e-12)
     assert basis.label == TRISEPARABLE
     # oracle: explicit tensor products of (|0> + s|1>)/sqrt(2)
     plus = np.array([1, 1]) / np.sqrt(2)
@@ -61,7 +66,7 @@ def test_x_class_gives_hadamard_product_basis():
         for s2 in (plus, minus):
             for s3 in (plus, minus):
                 expected.append(np.kron(np.kron(s1, s2), s3))
-    overlap = np.abs(np.array(expected).conj() @ basis.states.T)
+    overlap = np.abs(np.array(expected).conj() @ states.T)
     # same set of states (a permutation matrix of unit overlaps)
     assert np.allclose(np.sort(overlap, axis=1)[:, -1], 1, atol=1e-12)
     assert np.allclose(overlap.sum(), 8, atol=1e-10)
@@ -71,13 +76,13 @@ def test_eigenbasis_orthonormal_and_eigenvectors(example_tables):
     for table in example_tables.values():
         for row in table.rows:
             cls = class_from_row(row)
-            basis = eigenbasis(cls)
-            gram = basis.states.conj() @ basis.states.T
+            states = np.array(eigenbasis(cls).states)
+            gram = states.conj() @ states.T
             assert np.max(np.abs(gram - np.eye(8))) < 1e-10
             # states are eigenvectors of all 7 class operators, not just generators
             for op in cls.ops:
-                mat = op.matrix()
-                for state in basis.states:
+                mat = pauli_matrix(op)
+                for state in states:
                     image = mat @ state
                     sign = np.vdot(state, image).real
                     assert abs(abs(sign) - 1) < 1e-10
@@ -86,9 +91,7 @@ def test_eigenbasis_orthonormal_and_eigenvectors(example_tables):
 
 def test_eigenbasis_deterministic():
     cls = _class("XII", "IXI", "IIX")
-    a = eigenbasis(cls).states
-    b = eigenbasis(cls).states
-    assert a.tobytes() == b.tobytes()
+    assert eigenbasis(cls).states == eigenbasis(cls).states
 
 
 def _dense_eigenbasis(op_class) -> np.ndarray:
@@ -96,7 +99,7 @@ def _dense_eigenbasis(op_class) -> np.ndarray:
     (1 + s_j G_j)/2 over the generators, one per sign pattern in
     `mub._SIGN_PATTERNS` order: each projector's first nonzero column,
     normalised, with the first nonzero amplitude made real positive."""
-    gens = [op.matrix() for op in op_class.generator_ops()]
+    gens = [pauli_matrix(op) for op in op_class.generator_ops()]
     eye = np.eye(8, dtype=complex)
     states = np.empty((8, 8), dtype=complex)
     for row, signs in enumerate(mub._SIGN_PATTERNS):
@@ -123,9 +126,9 @@ def image_tables():
 
 def _assert_same_as_dense(tables):
     for table in tables:
-        bases = verify_mub_set(table).bases
-        for row, basis in zip(table.rows, bases):
-            assert basis.states.tobytes() == _dense_eigenbasis(class_from_row(row)).tobytes()
+        for row, basis in zip(table.rows, build_bases(table)):
+            want = _dense_eigenbasis(class_from_row(row)).tobytes()
+            assert np.array(basis.states).tobytes() == want
 
 
 def test_eigenbasis_equals_dense_projectors_on_examples(example_tables):
@@ -139,17 +142,20 @@ def test_eigenbasis_equals_dense_projectors_on_symplectic_images(image_tables):
 
 def test_one_gram_defects_equal_pairwise_defects(example_tables, image_tables):
     for table in [*example_tables.values(), *image_tables]:
-        report = verify_mub_set(table)
-        assert report.orthonormality_defect == max(map(orthonormality_defect, report.bases))
-        assert report.unbiasedness_defect == max(
-            unbiasedness(b1, b2) for b1, b2 in combinations(report.bases, 2))
+        bases = build_bases(table)
+        ortho, unbias, _ = gram_check(table)
+        assert ortho == max(map(orthonormality_defect, bases))
+        assert unbias == max(unbiasedness(b1, b2) for b1, b2 in combinations(bases, 2))
 
 
 def test_eigenbasis_builds_no_operator_matrix(monkeypatch):
+    # the states are Python complex, built with numpy unimportable
     cls = _class("XXX", "ZZI", "IZZ")
-    want = eigenbasis(cls).states.tobytes()
-    monkeypatch.setattr(PauliOp, "matrix", None)
-    assert eigenbasis(cls).states.tobytes() == want
+    want = eigenbasis(cls).states
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    got = eigenbasis(cls).states
+    assert got == want
+    assert {type(a) for state in got for a in state} == {complex}
 
 
 @pytest.mark.parametrize("labels", [("+iZII", "IZI", "IIZ"), ("ZII", "XII", "IIZ")],
@@ -207,7 +213,7 @@ def test_separability_purity_values():
 def test_separability_rejects_mixed_bases():
     z = eigenbasis(_class("ZII", "IZI", "IIZ")).states
     ghz = eigenbasis(_class("XXX", "ZZI", "IZZ")).states
-    mixed = Basis(states=np.vstack([z[:4], ghz[:4]]), label="?")
+    mixed = Basis(states=z[:4] + ghz[:4], label="?")
     with pytest.raises(SeparabilityError):
         separability(mixed)
 
@@ -225,8 +231,8 @@ def test_verify_reference_tables(example_tables):
     for table in example_tables.values():
         report = verify_mub_set(table)
         assert report.passed
-        assert report.orthonormality_defect < 1e-10
-        assert report.unbiasedness_defect < 1e-10
+        assert report.orthonormality_defect == 0.0
+        assert report.unbiasedness_defect == 0.0
         assert sum(report.structure) == 9
         assert report.structure in reference.KNOWN_STRUCTURES
 
@@ -238,6 +244,41 @@ def test_verify_all_36_pairs_unbiased(example_tables):
     assert len(pairs) == 36
     for b1, b2 in pairs:
         assert unbiasedness(b1, b2) < 1e-10
+
+
+def _assert_exact_matches_gram(table) -> float:
+    """The exact report against the Gram oracle; returns the unbiasedness defect."""
+    report = verify_mub_set(table)
+    ortho, unbias, passed = gram_check(table)
+    assert report.passed == passed
+    assert report.orthonormality_defect == 0.0 and ortho < 1e-12
+    assert abs(report.unbiasedness_defect - unbias) < 1e-12
+    assert report.unbiasedness_defect in (0.0, 1 / 8, 3 / 8, 7 / 8)
+    return report.unbiasedness_defect
+
+
+def test_exact_verdict_matches_gram_on_examples(example_tables):
+    assert {_assert_exact_matches_gram(t) for t in example_tables.values()} == {0.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(indices=st.lists(st.integers(1, 63), min_size=1, max_size=24))
+def test_exact_verdict_matches_gram_on_symplectic_images(indices):
+    assert _assert_exact_matches_gram(build_table(symplectic_image(indices))) == 0.0
+
+
+def test_exact_verdict_matches_gram_with_a_row_of_another_table(example_tables, image_tables):
+    # Row r of each table replaced by each row of the next: every row is
+    # still Lagrangian, but the new one shares 1, 3 or all 7 points with
+    # some other row of the table.
+    tables = [*example_tables.values(), *image_tables[:12]]
+    defects = set()
+    for k, (table, other) in enumerate(zip(tables, tables[1:])):
+        r = k % 9
+        for row in other.rows:
+            rows = table.rows[:r] + (row,) + table.rows[r + 1:]
+            defects.add(_assert_exact_matches_gram(StriationTable(rows=rows)))
+    assert defects == {0.0, 1 / 8, 3 / 8, 7 / 8}
 
 
 def test_swapped_points_break_verification(example_tables):
@@ -266,12 +307,12 @@ def test_structure_tuples(example_tables):
 
 
 def test_mub_set_bundle(example_tables):
-    # the report bundles the nine bases it checked with their structure
+    # the report holds no basis; its structure is that of the nine bases
     table = example_tables[("three-axes", ("m3",))]
     bundle = verify_mub_set(table)
-    assert len(bundle.bases) == 9
+    assert not hasattr(bundle, "bases")
     assert bundle.structure == (3, 0, 6)
-    assert [b.label for b in bundle.bases] == [b.label for b in build_bases(table)]
+    assert bundle.structure == structure_of([b.label for b in build_bases(table)])
 
 
 def test_report_json_shape(example_tables):
@@ -309,7 +350,7 @@ def test_matrix_equals_kronecker_product():
     for x, z in product(range(8), repeat=2):
         for phase in range(4):
             op = PauliOp(x=x, z=z, phase=phase)
-            assert np.array_equal(op.matrix(), _kron_matrix(op)), op.label()
+            assert np.array_equal(pauli_matrix(op), _kron_matrix(op)), op.label()
 
 
 def _check_exact_against_numeric(table: StriationTable) -> tuple[int, int, int]:

@@ -18,14 +18,14 @@ from mub3q.pauli import (
 from mub3q.phasespace import InvalidTableError, commutes
 
 from conftest import tk
-from oracles import IDENTITY, class_from_generators
+from oracles import IDENTITY, class_from_generators, pauli_matrix
 
 ALL_POINTS = [(a, b) for a in range(8) for b in range(8)]
 
 
 # ---------------------------------------------------------------------------
 # Oracle: 2x2 matrices and kron products built here, independent of
-# PauliOp.matrix's phase bookkeeping.
+# oracles.pauli_matrix's phase bookkeeping.
 # ---------------------------------------------------------------------------
 
 I2 = np.eye(2, dtype=complex)
@@ -56,7 +56,7 @@ def test_diagonal_point_gives_hermitian_y():
     op = point_to_pauli((tk("m3"), tk("m3")))
     assert op.label() == "YII"
     assert op.phase == 0
-    mat = op.matrix()
+    mat = pauli_matrix(op)
     assert np.allclose(mat, mat.conj().T)  # Hermitian
     assert np.allclose(mat @ mat, np.eye(8))  # involutive
 
@@ -77,7 +77,7 @@ def test_multiply_examples():
     z1 = PauliOp.from_label("ZII")
     prod = multiply(x1, z1)
     assert prod.label() == "-iYII"  # XZ = -iY
-    assert np.allclose(prod.matrix(), oracle_matrix(x1) @ oracle_matrix(z1))
+    assert np.allclose(pauli_matrix(prod), oracle_matrix(x1) @ oracle_matrix(z1))
 
 
 def test_multiply_phase_exact_on_random_pairs():
@@ -87,7 +87,7 @@ def test_multiply_phase_exact_on_random_pairs():
     ops = [PauliOp(x, z, rng.randrange(4)) for x, z in product(range(8), repeat=2)]
     mats = [oracle_matrix(op) for op in ops]
     for (p, mp), (q, mq) in product(zip(ops, mats), repeat=2):
-        assert np.array_equal(multiply(p, q).matrix(), mp @ mq)
+        assert np.array_equal(pauli_matrix(multiply(p, q)), mp @ mq)
     # associativity on a few random triples
     for _ in range(50):
         p, q, r = (rng.choice(ops) for _ in range(3))

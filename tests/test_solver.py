@@ -1,6 +1,7 @@
 """Solvers for the twelve equations: reference examples, cross-checks, guards."""
 
 import json
+import random
 from collections import Counter
 from itertools import islice, product
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mub3q import gf8, reference
+from mub3q import gf8, phasespace, reference, solver
 from mub3q.phasespace import COEFFICIENTS, PARAM_NAMES, InvalidSeedError, SeedSet, build_table, check_all_striation_conditions, echelon, failing_equations, validate_table
 from mub3q.solver import (
     CostGuardError,
@@ -27,7 +28,7 @@ from mub3q.solver import (
 )
 
 from conftest import PRINTED_EQUATIONS, decode_key, solve, tk
-from oracles import pointwise_systems, recursive_table, span_greedy_basis
+from oracles import brute_force_system, pointwise_systems, recursive_table, span_greedy_basis
 
 NONZERO = gf8.ELEMENTS[1:]
 
@@ -123,6 +124,44 @@ def test_displayed_system_matches_solver(example):
     from_system = reference.system_solutions(example.system, unknowns)
     from_solver = [s.free_values() for s in reference.solve_example(example)]
     assert from_system == from_solver
+
+
+def _random_system(rng: random.Random):
+    """A system in the displayed form over 1 to 3 unknowns: each side a
+    sum of 1 to 3 products of unknowns and constants, each right-hand
+    side a bit or another such sum."""
+    unknowns = tuple(rng.sample(("x", "y", "z", "w"), rng.randint(1, 3)))
+
+    def atom():
+        return rng.choice(unknowns) if rng.random() < 0.6 else rng.choice(gf8.ELEMENTS)
+
+    def side():
+        return tuple((atom(), atom()) for _ in range(rng.randint(1, 3)))
+
+    system = tuple(
+        (side(), rng.randrange(2) if rng.random() < 0.5 else side())
+        for _ in range(rng.randint(1, 4))
+    )
+    return system, unknowns
+
+
+def test_displayed_system_brute_force_is_independent_of_the_solver(monkeypatch):
+    cases = [(e.system, reference._scenario(e).free_names()) for e in reference.EXAMPLES]
+    rng = random.Random(1312)
+    cases += [_random_system(rng) for _ in range(300)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute force must not reach the solver's algebra")
+
+    for module, name in ((phasespace, "equation_rows"), (phasespace, "echelon"),
+                         (solver, "solve_scenario")):
+        monkeypatch.setattr(module, name, refuse)
+    found = 0
+    for system, unknowns in cases:
+        got = reference.system_solutions(system, unknowns)
+        assert got == brute_force_system(system, unknowns)
+        found += bool(got)
+    assert 0 < found < len(cases)
 
 
 # ---------------------------------------------------------------------------
