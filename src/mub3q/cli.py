@@ -122,22 +122,25 @@ def _load_seed(args) -> SeedSet:
     return SeedSet.from_params(given)
 
 
-def _print_solutions(sols: list[solver.Solution], pretty: bool) -> None:
+def _print_solutions(scenario: solver.Scenario, allow_large: bool, pretty: bool) -> None:
+    keys = solver.scenario_keys(scenario, allow_large=allow_large)
+    names = scenario.free_names()
     if not pretty:
-        # json_text gives _json_dumps' bytes of to_json(); writing one
-        # solution at a time keeps only one payload's text alive.
+        # json_texts gives _json_dumps' bytes of each Solution's to_json();
+        # writing one solution at a time keeps only one payload's text alive.
         write = sys.stdout.write
         write("[")
-        for i, sol in enumerate(sols):
+        for i, text in enumerate(solver.json_texts(keys, names)):
             if i:
                 write(",")
-            write(sol.json_text())
+            write(text)
         write("]\n")
         return
-    if not sols:
+    if not keys:
         print("no solutions")
         return
-    for i, sol in enumerate(sols, start=1):
+    for i, key in enumerate(keys, start=1):
+        sol = solver.Solution(key, names)
         print(f"solution {i}  valid={'yes' if sol.valid else 'no'}")
         print("  free: " + " ".join(f"{n}={gf8.to_token(v)}" for n, v in sol.free))
         print("  row1: " + " ".join(_point_text(p) for p in sol.seed.row1))
@@ -179,7 +182,7 @@ def _cmd_solve(args) -> int:
         raise UsageError("--scenario (or --scenario-file) is required")
     else:
         scenario = _scenario_from_flags(args)
-    _print_solutions(solver.solve_scenario(scenario, allow_large=args.allow_large), args.pretty)
+    _print_solutions(scenario, args.allow_large, args.pretty)
     return 0
 
 

@@ -14,7 +14,8 @@ Twelve trace equations on the seed parameters are necessary and
 sufficient for the internal commutation of all 9 rows.  equation_rows
 makes them GF(2) rows over one coordinate side of the seed, given the
 other, for failing_equations and the solver; echelon is the one GF(2)
-elimination.  A seed is valid iff it satisfies the equations and its six
+elimination of a list of vectors (the solver's walk restricts solution
+sets instead).  A seed is valid iff it satisfies the equations and its six
 points have GF(2) rank 6 (SeedSet.rank; see the solver module for the
 proof); build_table checks it.  A striation row is 7 distinct nonzero
 commuting points (row_generators, the one rule).  With

@@ -13,8 +13,9 @@ GF(2)-linear equations.  The solver sweeps the side with fewer free
 coordinates over GF(8) and solves the linear system at each sweep point,
 which lists every solution and no others.  The rows are linear in the
 swept coordinates too, so the sweep is a walk that sets one coordinate
-per level, eliminates each row once the coordinates it depends on are
-set, and drops every point below an inconsistent prefix.
+per level.  Each node carries its solution set, a particular solution
+plus a nullspace basis; each row restricts it once the coordinates the
+row depends on are set, and an empty set drops every point below it.
 
 Solutions are returned in a fixed order: free parameters are sorted in
 canonical parameter order, each by the element display order, so the
@@ -85,11 +86,12 @@ SCENARIO_KINDS = tuple(SCHEMES)
 MAX_FREE_DEFAULT = 6  # 8^6 assignments; anything larger needs allow_large
 
 MAX_SOLUTIONS = 8**7  # output ceiling, whatever allow_large says
-# Memory budget: a listed solution holds about 105 bytes (its key int, its
-# Solution tuple and their list slots) and peaks at about 115 during the
-# solve, so the ceiling would need about 250 MB (estimated, not run).
-# `solve` of 622,592 solutions peaks at 84 MB RSS, import included; the CI
-# step "Bounded solve memory" requires at most 128 MB.
+# Memory budget: a listed key holds about 40 bytes (the int and its list
+# slot) and peaks at about 58 during the solve; solve_scenario's Solution
+# tuples add about 64 more.  The CLI's JSON output lists keys only (see
+# scenario_keys), so at the ceiling it would need about 140 MB (estimated,
+# not run).  `solve` of 622,592 solutions peaks at 52 MB RSS, import
+# included; the CI step "Bounded solve memory" requires at most 128 MB.
 
 # _SHIFT[n] is the shift of n's digit in a solution key (see Solution);
 # l3, the three-axes free name, is read as b13.  Seed point i is the
@@ -103,7 +105,7 @@ _CHUNK_POINT = tuple((gf8.ELEMENTS[c >> 3], gf8.ELEMENTS[c & 7]) for c in range(
 _CHUNK_PACKED = tuple(map(phasespace.pack, _CHUNK_POINT))
 
 # Compact JSON text, per digit, of a token and of each free name's entry,
-# and per chunk of a point, from which Solution.json_text is joined.
+# and per chunk of a point, from which json_texts joins a solution's text.
 _TOKEN_TEXT = tuple(f'"{t}"' for t in gf8.TOKENS)
 _FREE_TEXT = {n: tuple(f'"{n}":{t}' for t in _TOKEN_TEXT) for n in _SHIFT}
 _CHUNK_TEXT = tuple(f"[{_TOKEN_TEXT[c >> 3]},{_TOKEN_TEXT[c & 7]}]" for c in range(64))
@@ -209,7 +211,7 @@ class Solution(NamedTuple):
     the 12 values, 3 bits each, in PARAM_NAMES order with a11 most
     significant, so integer order is output order.  The seed, the solved
     values and validity (by the form rule of the module docstring) are
-    read off the key; json_text joins its text from the module's tables.
+    read off the key; json_texts joins its text from the module's tables.
     """
 
     key: int
@@ -239,37 +241,52 @@ class Solution(NamedTuple):
         }
 
     def json_text(self) -> str:
-        """to_json() as compact JSON text, joined from the text tables."""
-        k, t = self.key, _CHUNK_TEXT
-        free = ",".join([_FREE_TEXT[n][k >> _SHIFT[n] & 7] for n in self.names])
+        """to_json() as compact JSON text (see json_texts)."""
+        return next(json_texts((self.key,), self.names))
+
+
+def json_texts(keys, names: tuple[str, ...]):
+    """Yield, key by key, the compact JSON text of Solution(key,
+    names).to_json(), joined from the module's text tables."""
+    t = _CHUNK_TEXT
+    free_text = [(_SHIFT[n], _FREE_TEXT[n]) for n in names]
+    for k in keys:
+        free = ",".join([text[k >> shift & 7] for shift, text in free_text])
         valid = "true" if _form_is_nonzero(k) else "false"
-        return (
+        yield (
             f'{{"free":{{{free}}},"seed":{{"row1":[{t[k >> 30]},{t[k >> 24 & 63]},'
             f'{t[k >> 18 & 63]}],"row2":[{t[k >> 12 & 63]},{t[k >> 6 & 63]},{t[k & 63]}]}},'
             f'"valid":{valid}}}'
         )
 
 
-def _back_substitute(pivots: dict[int, int], unknown: int):
-    """Solve a consistent GF(2) system from its echelon pivots: rows
-    row << 1 | bit, each row a bitmask over the columns set in `unknown`,
-    and no pivot at bit 0.
+def _restrict(particular: int, basis: list[int], rows):
+    """Restrict the solution set particular + span(basis) to the rows
+    row << 1 | bit, each row a bitmask over the basis' columns.
 
-    Returns (particular solution, nullspace basis) as bitmasks over those
-    columns.  A pivot's row holds no column above its own, so one pass
-    over the pivots in increasing order sets each pivot column, in the
-    particular solution (free columns 0) and in the nullspace vector of
-    each free column.
+    The first basis vector a row hits (odd parity) is its pivot: the
+    pivot leaves the basis and is added to each later vector the row
+    hits and, when particular misses the row's bit, to particular.  Then
+    the vectors left have parity 0 on the row and particular has the
+    row's bit, so the new set is the old one's solutions of the row.  A
+    row that no vector hits holds on the whole set or on none of it.
+    Returns (particular, basis), or None if the set is empty.
     """
-    particular = 0
-    columns = range(unknown.bit_length())
-    basis = [1 << c for c in columns if unknown >> c & 1 and c + 1 not in pivots]
-    for top in sorted(pivots):
-        col = 1 << (top - 1)
-        below = pivots[top] >> 1 ^ col
-        if pivots[top] & 1 ^ (below & particular).bit_count() & 1:
-            particular |= col
-        basis = [v | col if (below & v).bit_count() & 1 else v for v in basis]
+    for row in rows:
+        mask = row >> 1
+        pivot, rest = 0, []
+        for v in basis:
+            if (mask & v).bit_count() & 1:
+                if not pivot:
+                    pivot = v
+                    continue
+                v ^= pivot
+            rest.append(v)
+        if (row ^ (mask & particular).bit_count()) & 1:
+            if not pivot:
+                return None
+            particular ^= pivot
+        basis = rest
     return particular, basis
 
 
@@ -282,11 +299,13 @@ def _solved_fixings(fixed: dict[str, int]):
     are linear in the swept side (TRACE_FORM[0] is 0), and so is each
     row augmented as (row & unknown o bits) << 1 | parity of its fixed
     bits: the walk builds the fixed part and each swept coordinate's
-    part once per fixing and adds one part per level.  A row is
-    eliminated, into its parent's pivots, at the level of the last
-    coordinate it depends on, and a pivot at bit 0 (0 = 1) drops the
-    subtree.  Sweep points come in the order of itertools.product over
-    gf8.ELEMENTS, the first slot slowest.
+    part once per fixing and adds one part per level.  Each node holds
+    its solution set over the unknown o bits, a particular solution and
+    a nullspace basis, starting from every assignment (0 and the unit
+    vectors).  A row restricts its parent's set (_restrict) at the level
+    of the last coordinate it depends on, and an empty set drops the
+    subtree; a leaf's set is its solutions.  Sweep points come in the
+    order of itertools.product over gf8.ELEMENTS, the first slot slowest.
 
     Yields (swept side, 0 for a and 1 for b; the swept side's key digits;
     o with its unknown bits zero; particular solution; nullspace basis)
@@ -317,7 +336,7 @@ def _solved_fixings(fixed: dict[str, int]):
     base = augmented([v or 0 for v in swept])
     base = [base[k] for k in order]
     root = done = level_of.count(-1)
-    plan = []  # per level: (rows eliminated there, [(key digit, parts of the rows left)])
+    plan = []  # per level: (rows that restrict there, [(key digit, parts of the rows left)])
     for lv, (i, bits) in enumerate(zip(slots, units)):
         parts = [[0] * (12 - done)]  # indexed by the value's 3 bits
         for bit_rows in bits:
@@ -327,23 +346,21 @@ def _solved_fixings(fixed: dict[str, int]):
         done += ready
     digits = sum(digit(j, v) for j, v in enumerate(swept) if v is not None)
 
-    def walk(lv, rows, pivots, digits):
+    def walk(lv, rows, solved, digits):
         if lv == len(plan):
-            yield side, digits, known, *_back_substitute(pivots, unknown)
+            yield side, digits, known, *solved
             return
         ready, parts = plan[lv]
         for digit, part in parts:
             here = [r ^ p for r, p in zip(rows, part)]
-            found = pivots
-            if ready:
-                found = phasespace.echelon([*pivots.values(), *here[:ready]])[0]
-                if 0 in found:
-                    continue
-            yield from walk(lv + 1, here[ready:], found, digits | digit)
+            found = _restrict(*solved, here[:ready]) if ready else solved
+            if found is not None:
+                yield from walk(lv + 1, here[ready:], found, digits | digit)
 
-    pivots = phasespace.echelon(base[:root])[0]
-    if 0 not in pivots:
-        yield from walk(0, base[root:], pivots, digits)
+    columns = [1 << c for c in range(unknown.bit_length()) if unknown >> c & 1]
+    solved = _restrict(0, columns, base[:root])
+    if solved is not None:
+        yield from walk(0, base[root:], solved, digits)
 
 
 def count_assignments(fixed: dict[str, int]) -> int:
@@ -395,13 +412,19 @@ def solution_is_valid(seed: SeedSet) -> bool:
     return seed.rank() == 6 and not phasespace.failing_equations(seed)
 
 
-def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Solution]:
-    """Solve a scenario: enumerate the twelve equations over the names its
-    pinned values leave free.  Three-axes keeps the assignments with
-    b13 = a23, compared as key digits, and reports that value as l3."""
+def scenario_keys(scenario: Scenario, *, allow_large: bool = False) -> list[int]:
+    """The keys of a scenario's solutions: the twelve equations enumerated
+    over the names its pinned values leave free.  Three-axes keeps the
+    assignments with b13 = a23, compared as key digits."""
     keys = enumerate_assignments(scenario.pinned(), allow_large=allow_large)
     if scenario.kind == "three-axes":
         b13, a23 = _SHIFT["b13"], _SHIFT["a23"]
         keys = [k for k in keys if k >> b13 & 7 == k >> a23 & 7]
+    return keys
+
+
+def solve_scenario(scenario: Scenario, *, allow_large: bool = False) -> list[Solution]:
+    """Solve a scenario: its solutions (scenario_keys), solved for
+    scenario.free_names(); three-axes reports b13 = a23 as l3."""
     names = scenario.free_names()
-    return [Solution(k, names) for k in keys]
+    return [Solution(k, names) for k in scenario_keys(scenario, allow_large=allow_large)]

@@ -232,7 +232,9 @@ def solve_gf2(system: list[tuple[int, int]], unknown: int):
 
 def pointwise_systems(fixed: dict[str, int]):
     """The solver's sweep, one GF(2) system per sweep point, each built
-    by phasespace.equation_rows and solved from scratch.
+    by phasespace.equation_rows and solved from scratch by solve_gf2:
+    elimination and back-substitution, neither of which the solver's
+    walk uses.
 
     The free coordinates of the side with fewer of them run over GF(8);
     at each sweep point, phasespace.equation_rows gives the rows over the

@@ -77,6 +77,17 @@ def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypa
     assert counts == {"_form_is_nonzero": 368}
 
 
+def test_json_solve_writes_text_from_keys(monkeypatch, capsys):
+    # one text loop over the keys; no Solution is built for JSON output
+    counts = _counted(monkeypatch, ((solver, "Solution"), (solver, "json_texts")))
+    assert cli.main(GENERIC_SIX) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 368
+    assert counts == {"json_texts": 1}
+    assert cli.main([*GENERIC_SIX, "--pretty"]) == 0
+    capsys.readouterr()
+    assert counts == {"json_texts": 1, "Solution": 368}
+
+
 @pytest.mark.parametrize("argv", [
     THREE_AXES,
     ["solve", "--scenario", "two-axes", "--b11", "m4", "--b12", "m3", "--b13", "m5",
@@ -110,12 +121,14 @@ def test_generic_sweep_builds_rows_once_per_fixing(monkeypatch, capsys):
 
 
 def test_pruned_sweep_eliminates_less_often_than_it_has_points(monkeypatch, capsys):
-    counts = _counted(monkeypatch, ((phasespace, "echelon"),))
+    # the walk restricts its solution sets and calls no echelon
+    counts = _counted(monkeypatch, ((phasespace, "echelon"), (solver, "_restrict")))
     argv = ["solve", "--scenario", "generic",
             *(w for n, t in PRUNED.items() for w in ("--fix", f"{n}={t}"))]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)
-    assert counts["echelon"] < 8**3
+    assert 0 < counts["_restrict"] < 8**3
+    assert "echelon" not in counts
 
 
 @pytest.mark.parametrize("command", ["table", "verify", "classify"])

@@ -18,8 +18,8 @@ from mub3q.solver import (
     SCHEMES,
     Scenario,
     _SHIFT,
-    _back_substitute,
     _form_is_nonzero,
+    _restrict,
     _solved_fixings,
     count_assignments,
     enumerate_assignments,
@@ -523,13 +523,13 @@ def test_solve_gf2_matches_brute_force(args):
         x for x in _span(0, columns)
         if all((row & x).bit_count() % 2 == bit for row, bit in system)
     }
-    # inconsistent iff echelon has a pivot at bit 0; else back-substitute
-    pivots, _ = echelon([r << 1 | b for r, b in system])
+    # the walk's restriction, from every assignment of the unknown columns
+    solved = _restrict(0, columns, [r << 1 | b for r, b in system])
     if not satisfying:
-        assert 0 in pivots
+        assert solved is None
         return
-    assert 0 not in pivots
-    particular, basis = _back_substitute(pivots, unknown)
+    assert solved is not None
+    particular, basis = solved
     span = _span(particular, basis)
     assert span == satisfying
     assert len(span) == 1 << len(basis)  # the basis is independent
@@ -544,8 +544,9 @@ PRUNED = {"a11": "m4", "a21": "m", "a23": "m3", "b11": "m", "b12": "m", "b13": "
 def _assert_walk_matches_pointwise(fixed: dict[str, int], limit: int | None = None):
     """The walk and the pointwise oracle list the same consistent sweep
     points in the same order (the first `limit` of them), each with the
-    same known | particular and the same span of the basis; with no
-    limit, count_assignments agrees too."""
+    same known, the same span of the basis and particular solutions that
+    differ by a vector of that span; with no limit, count_assignments
+    agrees too."""
     walk = list(islice(_solved_fixings(fixed), limit))
     pointwise = list(islice(pointwise_systems(fixed), limit))
     assert len(walk) == len(pointwise)
@@ -554,9 +555,10 @@ def _assert_walk_matches_pointwise(fixed: dict[str, int], limit: int | None = No
         assert digits == sum(
             gf8.ORDER_KEY[v] << _SHIFT[PARAM_NAMES[2 * j + side]] for j, v in enumerate(swept)
         )
-        assert known | particular == o_known | o_particular
+        assert known == o_known
         rank = len(echelon(basis)[0])
         assert rank == len(basis) == len(o_basis) == len(echelon(basis + o_basis)[0])
+        assert len(echelon(o_basis + [particular ^ o_particular])[0]) == rank
     if limit is None:
         assert count_assignments(fixed) == sum(1 << len(basis) for *_, basis in pointwise)
     return pointwise
