@@ -15,11 +15,11 @@ rows, and builds no basis; the tests check it against a 72x72 Gram
 matrix of the states.
 
 Each basis is labeled triseparable / biseparable / nonseparable exactly,
-from its class: qubit j of every eigenstate is pure iff the class holds
-an operator acting on qubit j alone (the stabilizers of a state that are
-supported on one qubit fix that qubit's reduced state).  Three, one and
-no pure qubits give the three labels.  The tests check the rule against
-the purities of the single-qubit reduced states, which for these
+from its row mask: qubit j of every eigenstate is pure iff the row holds
+a point whose Pauli acts on qubit j alone (the stabilizers of a state
+that are supported on one qubit fix that qubit's reduced state).  Three,
+one and no pure qubits give the three labels.  The tests check the rule
+against the purities of the single-qubit reduced states, which for these
 stabilizer states are exactly 1 or 1/2.
 
 The module needs no numpy: the states are tuples of Python complex.
@@ -31,8 +31,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .pauli import OperatorClass, class_from_row, commutes_op
-from .phasespace import StriationTable, row_mask
+from .gf8 import SELF_DUAL_MASK
+from .pauli import OperatorClass, class_from_row, commutes_op, pauli_to_point
+from .phasespace import InvalidTableError, StriationTable, row_mask
 
 TRISEPARABLE = "triseparable"
 BISEPARABLE = "biseparable"
@@ -51,6 +52,12 @@ _UNITS = {
     n: (complex(m, 0.0), complex(0.0, m), complex(-m, 0.0), complex(0.0, -m))
     for n, m in _MAGNITUDES.items()
 }
+# _QUBIT_MASKS[j] holds the 3 packed points a << 3 | b whose Pauli acts on
+# the qubit of bit j alone: their X and Z masks OR to 1 << j.
+_QUBIT_MASKS = tuple(
+    sum(1 << x for x in range(64) if SELF_DUAL_MASK[x >> 3] | SELF_DUAL_MASK[x & 7] == 1 << j)
+    for j in range(3)
+)
 
 
 class EigenbasisError(RuntimeError):
@@ -126,7 +133,8 @@ def eigenbasis(op_class: OperatorClass) -> Basis:
         )
         column = {c ^ x: (e + 2 * (c & z).bit_count()) % 4 for x, z, e in signed}
         states.append(tuple(units[column[r]] if r in column else 0j for r in range(8)))
-    return Basis(states=tuple(states), label=class_label(op_class))
+    mask = row_mask([pauli_to_point(op) for op in op_class.ops])
+    return Basis(states=tuple(states), label=class_label(mask))
 
 
 def _label_of_pure_count(pure_count: int) -> str:
@@ -139,12 +147,11 @@ def _label_of_pure_count(pure_count: int) -> str:
     raise SeparabilityError("exactly two pure qubits is impossible for pure states")
 
 
-def class_label(op_class: OperatorClass) -> str:
-    """Exact separability label of a class's eigenbasis: qubit j is pure
-    iff the class holds an operator whose X and Z bits are nonzero at
-    qubit j only."""
-    pure = {op.x | op.z for op in op_class.ops if (op.x | op.z).bit_count() == 1}
-    return _label_of_pure_count(len(pure))
+def class_label(mask: int) -> str:
+    """Exact separability label of the eigenbasis of a row, given its mask
+    (`row_mask`): qubit j is pure iff the row holds a point whose Pauli
+    acts on qubit j alone."""
+    return _label_of_pure_count(sum(mask & q != 0 for q in _QUBIT_MASKS))
 
 
 def build_bases(table: StriationTable) -> list[Basis]:
@@ -171,8 +178,8 @@ class MubReport:
 
 
 def table_labels(table: StriationTable) -> list[str]:
-    """Exact labels of a table's nine bases, in row order; no basis is built."""
-    return [class_label(class_from_row(row)) for row in table.rows]
+    """Exact labels of a table's nine bases, in row order, from row masks."""
+    return [class_label(row_mask(row)) for row in table.rows]
 
 
 def structure_of(labels: list[str]) -> tuple[int, int, int]:
@@ -187,19 +194,20 @@ def structure_of(labels: list[str]) -> tuple[int, int, int]:
 def verify_mub_set(table: StriationTable) -> MubReport:
     """Check a table's nine bases exactly, from its rows; no basis is built.
 
-    Every row must pass `row_generators` (through `table_labels`), so each
+    The table must hold 9 rows, and every row must pass `row_mask`, so each
     basis is orthonormal by construction: its 8 states have distinct sign
     patterns, and the orthonormality defect is 0.  Two rows sharing 2^k - 1
     nonzero points give squared overlaps 2^k/8 and 0, so the unbiasedness
     defect, max over pairs of | |<psi|phi>|^2 - 1/8 |, is the largest
     number of points a pair of rows shares, over 8."""
-    labels = table_labels(table)
+    if len(table.rows) != 9:
+        raise InvalidTableError(f"a table must hold 9 rows, not {len(table.rows)}")
     masks = [row_mask(row) for row in table.rows]
-    shared = max(((m & n).bit_count() for m, n in combinations(masks, 2)), default=0)
+    shared = max((m & n).bit_count() for m, n in combinations(masks, 2))
     return MubReport(
         orthonormality_defect=0.0,
         unbiasedness_defect=shared / 8,
-        structure=structure_of(labels),
+        structure=structure_of([class_label(m) for m in masks]),
         passed=shared == 0,
     )
 

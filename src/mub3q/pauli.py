@@ -11,8 +11,9 @@ The phase-space map sends a point (a, b) to the operator with X mask
 SELF_DUAL_MASK[a] and Z mask SELF_DUAL_MASK[b] (`gf8`); under it,
 operator commutation is exactly the trace condition on points.
 
-The module builds no matrix: the tests hold the 8x8 matrix of an
-operator, as their oracle of its phases.
+A `PauliOp` is needed only to build a state or print a label; labels and
+MUB verdicts read row masks (`phasespace.row_mask`).  The module builds no
+matrix: the tests hold the 8x8 matrix of an operator, as their oracle.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ elimination of a list of vectors (the solver's walk restricts solution
 sets instead).  A seed is valid iff it satisfies the equations and its six
 points have GF(2) rank 6 (SeedSet.rank; see the solver module for the
 proof); build_table checks it.  A striation row is 7 distinct nonzero
-commuting points (row_generators, the one rule).  With
+commuting points (row_mask, the one rule, gives its 64-bit mask).  With
 the origin it is a Lagrangian subspace of GF(8)^2 under the symplectic
 form omega(p, q) = tr(a1*b2 + a2*b1), so fit_curve gives it an exact
 curve relation l0*b + l1*b^2 + l2*b^4 = m0*a + m1*a^2 + m2*a^4.
@@ -135,30 +135,30 @@ def echelon(vectors) -> tuple[dict[int, int], list[int]]:
 
 
 def row_mask(row: tuple[Point, ...]) -> int:
-    """The 64-bit mask of a row's points: bit pack(p) for each point p."""
-    mask = 0
-    for p in row:
-        mask |= 1 << pack(p)
-    return mask
-
-
-def row_generators(row: tuple[Point, ...]) -> tuple[int, int, int]:
-    """Indices of the first three GF(2)-independent points of a striation
-    row: 7 distinct nonzero points that pairwise commute.  Their span is
-    isotropic, so at most 3-dimensional, and holds them, so it is
+    """The 64-bit mask of a striation row, bit pack(p) for each point p:
+    the one row rule.  The row must hold 7 distinct nonzero points that
+    pairwise commute (PERP[x] & mask == mask for each member x).  Their
+    span is isotropic, so at most 3-dimensional, and holds them, so it is
     Lagrangian and they are its nonzero points.  Any other row raises
     InvalidTableError (AnticommutingRowError for a non-commuting pair)."""
     packed = [pack(p) for p in row]
-    members = row_mask(row)
-    if len(packed) != 7 or members.bit_count() != 7 or members & 1:
+    mask = sum(1 << x for x in set(packed))
+    if len(packed) != 7 or mask.bit_count() != 7 or mask & 1:
         raise InvalidTableError("a row must hold 7 distinct nonzero points")
     for p, x in zip(row, packed):
-        if PERP[x] & members != members:
+        if PERP[x] & mask != mask:
             q = next(q for q in row if not PERP[x] >> pack(q) & 1)
             raise AnticommutingRowError(
                 f"points {point_to_json(p)} and {point_to_json(q)} do not commute"
             )
-    return tuple(echelon(packed)[1])
+    return mask
+
+
+def row_generators(row: tuple[Point, ...]) -> tuple[int, int, int]:
+    """Indices of the first three GF(2)-independent points of a row that
+    passes `row_mask`, which raises for any other row."""
+    row_mask(row)
+    return tuple(echelon(map(pack, row))[1])
 
 
 def point_to_json(p: Point) -> list[str]:
@@ -204,7 +204,7 @@ class SeedSet:
 
     def rank(self) -> int:
         """GF(2) rank of the six seed points."""
-        return len(echelon([a << 3 | b for a, b in self.row1 + self.row2])[0])
+        return len(echelon(map(pack, self.points()))[0])
 
     def to_json(self) -> dict:
         return {
@@ -365,7 +365,7 @@ def _frobenius_sums(t, xs) -> tuple[int, int, int]:
 
 def fit_curve(row: tuple[Point, ...]) -> CurveRelation:
     """The linearized relation L(b) = M(a) whose zero set is exactly a
-    striation row plus the origin, W.  The row must pass `row_generators`.
+    striation row plus the origin, W.  The row must pass `row_mask`.
 
     W is Lagrangian (W = W-perp): for generators g_i = (a_i, b_i) of W and
     a GF(2) basis t of GF(8), p is in W iff sum t_i*omega(g_i, p) = 0.  As

@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import pytest
 
 from mub3q import gf8, phasespace, reference, solver
 from mub3q.pauli import PauliOp, commutes_op, pauli_to_point, point_to_pauli
+
+from oracles import add_points
 
 
 # The twelve seed equations as printed in the paper, each
@@ -92,3 +96,20 @@ def example_tables():
 @pytest.fixture(scope="session")
 def three_axes_m3_table(example_tables):
     return example_tables[("three-axes", ("m3",))]
+
+
+@pytest.fixture(scope="session")
+def lagrangian_rows():
+    """The 135 maximal commuting subgroups of GF(8)^2, each as the set of
+    its 7 nonzero points, from the commuting triples that span 3 dimensions."""
+    nonzero = [(a, b) for a in range(8) for b in range(8)][1:]
+    rows = set()
+    for triple in combinations(nonzero, 3):
+        if all(phasespace.commutes(p, q) for p, q in combinations(triple, 2)):
+            span = {phasespace.ORIGIN}
+            for v in triple:
+                span |= {add_points(v, s) for s in span}
+            if len(span) == 8:
+                rows.add(frozenset(span - {phasespace.ORIGIN}))
+    assert len(rows) == 135
+    return sorted(rows, key=sorted)

@@ -32,8 +32,11 @@ def _counted(monkeypatch, targets) -> Counter:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls of reference.solve_example and mub.eigenbasis."""
-    return _counted(monkeypatch, ((reference, "solve_example"), (mub, "eigenbasis")))
+    """Count calls of reference.solve_example, mub.eigenbasis and
+    mub.class_from_row."""
+    return _counted(monkeypatch, (
+        (reference, "solve_example"), (mub, "eigenbasis"), (mub, "class_from_row"),
+    ))
 
 
 def test_run_all_checks_solves_and_builds_once(calls):
@@ -45,20 +48,22 @@ def test_run_all_checks_solves_and_builds_once(calls):
 
 
 def test_classify_builds_no_basis(calls, capsys):
-    # the labels come from the exact rule on the operator classes
+    # the labels come from the exact rule on the row masks: no basis and
+    # no operator class is built
     assert cli.main(["classify", *SEED_M3]) == 0
     capsys.readouterr()
     assert calls == {}
 
 
 def test_verify_builds_nine_bases_without_purities(monkeypatch, capsys):
-    # only the amplitude dump needs the bases; the verdict comes from the rows
-    counts = _counted(monkeypatch, ((mub, "eigenbasis"),))
+    # only the amplitude dump needs the bases and their operator classes;
+    # the verdict and the labels come from the row masks
+    counts = _counted(monkeypatch, ((mub, "eigenbasis"), (mub, "class_from_row")))
     assert cli.main(["verify", *SEED_M3]) == 0
     assert counts == {}
     assert cli.main(["verify", *SEED_M3, "--amplitudes"]) == 0
     capsys.readouterr()
-    assert counts == {"eigenbasis": 9}
+    assert counts == {"eigenbasis": 9, "class_from_row": 9}
 
 
 def test_generic_solve_checks_each_solution_once_without_validate_table(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -25,7 +26,7 @@ from mub3q.mub import (
     verify_mub_set,
 )
 from mub3q.pauli import OperatorClass, PauliOp, class_from_row, pauli_to_point
-from mub3q.phasespace import StriationTable, build_table, echelon, pack
+from mub3q.phasespace import InvalidTableError, StriationTable, build_table, echelon, pack, row_mask
 
 from conftest import seed_from_tokens, symplectic_image
 from oracles import (
@@ -324,10 +325,27 @@ def test_report_json_shape(example_tables):
 
 
 def test_class_label_rejects_two_pure_qubits():
-    # no class of 7 commuting operators has this shape; the rule still refuses it
-    ops = tuple(PauliOp.from_label(s) for s in ("ZII", "IZI", "ZZI"))
+    # no striation row has this shape; the rule still refuses it
+    points = (pauli_to_point(PauliOp.from_label(s)) for s in ("ZII", "IZI", "ZZI"))
     with pytest.raises(SeparabilityError):
-        class_label(OperatorClass(ops=ops))
+        class_label(sum(1 << pack(p) for p in points))
+
+
+@pytest.mark.parametrize("count", [8, 0, 10])
+def test_verify_refuses_a_table_without_nine_rows(three_axes_m3_table, count):
+    rows = (three_axes_m3_table.rows * 2)[:count]
+    with pytest.raises(InvalidTableError, match=f"a table must hold 9 rows, not {count}$"):
+        verify_mub_set(StriationTable(rows=rows))
+
+
+def test_mask_labels_match_purities_on_every_lagrangian_row(lagrangian_rows):
+    # the mask rule against the purities of each of the 135 bases
+    labels = []
+    for span in lagrangian_rows:
+        row = tuple(sorted(span))
+        labels.append(class_label(row_mask(row)))
+        assert labels[-1] == separability(eigenbasis(class_from_row(row)))
+    assert Counter(labels) == {TRISEPARABLE: 27, BISEPARABLE: 54, NONSEPARABLE: 54}
 
 
 # The matrices of the single-qubit Paulis, for the Kronecker-product oracle.

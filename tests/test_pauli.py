@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from mub3q import mub
 from mub3q.pauli import (
     AnticommutingRowError,
     PauliOp,
@@ -15,7 +16,7 @@ from mub3q.pauli import (
     pauli_to_point,
     point_to_pauli,
 )
-from mub3q.phasespace import InvalidTableError, commutes
+from mub3q.phasespace import InvalidTableError, StriationTable, commutes
 
 from conftest import tk
 from oracles import IDENTITY, class_from_generators, pauli_matrix
@@ -153,13 +154,17 @@ def test_class_rejects_anticommuting_row():
         class_from_row(row)
 
 
-def test_class_rejects_rows_that_are_not_striation_rows():
+def test_class_rejects_rows_that_are_not_striation_rows(three_axes_m3_table):
     # a repeated point or the origin: rejected by the row rule, not later by
-    # a label that finds exactly two pure qubits
+    # a label read off a mask of 6 points that finds exactly two pure qubits
     axis = tuple((0, b) for b in range(1, 8))
     for row in (axis[:6] + axis[:1], axis[:6] + ((0, 0),)):
         with pytest.raises(InvalidTableError, match="7 distinct nonzero points"):
             class_from_row(row)
+        table = StriationTable(rows=(row,) + three_axes_m3_table.rows[1:])
+        for entry in (mub.table_labels, mub.verify_mub_set):
+            with pytest.raises(InvalidTableError, match="7 distinct nonzero points"):
+                entry(table)
     assert issubclass(AnticommutingRowError, InvalidTableError)
 
 

@@ -26,6 +26,7 @@ from mub3q.phasespace import (
     linearized_eval,
     render_grid,
     row_generators,
+    row_mask,
     validate_table,
 )
 
@@ -410,23 +411,6 @@ def test_fit_handles_rows_with_both_projections_degenerate():
     assert {p for p in ALL_POINTS if rel.holds_at(p)} == set(row) | {ORIGIN}
 
 
-@pytest.fixture(scope="module")
-def lagrangian_rows():
-    """The 135 maximal commuting subgroups of GF(8)^2, each as the set of
-    its 7 nonzero points, from the commuting triples that span 3 dimensions."""
-    nonzero = [p for p in ALL_POINTS if p != ORIGIN]
-    rows = set()
-    for triple in combinations(nonzero, 3):
-        if all(commutes(p, q) for p, q in combinations(triple, 2)):
-            span = {ORIGIN}
-            for v in triple:
-                span |= {add_points(v, s) for s in span}
-            if len(span) == 8:
-                rows.add(frozenset(span - {ORIGIN}))
-    assert len(rows) == 135
-    return sorted(rows, key=sorted)
-
-
 @pytest.mark.parametrize("order", range(4))
 def test_fit_is_exact_on_every_lagrangian_row(lagrangian_rows, order):
     # each row in a shuffled order: the zero set of the relation is
@@ -484,11 +468,11 @@ def test_fit_rejects_a_repeated_point_and_the_origin():
     # commutes and has rank 3, but its span holds a point it lacks
     axis = tuple((0, b) for b in range(1, 8))
     for row in (axis[:6] + axis[:1], axis[:6] + (ORIGIN,)):
-        with pytest.raises(InvalidTableError, match="7 distinct nonzero points"):
-            row_generators(row)
-        with pytest.raises(InvalidTableError, match="7 distinct nonzero points"):
-            fit_curve(row)
+        for entry in (row_mask, row_generators, fit_curve):
+            with pytest.raises(InvalidTableError, match="7 distinct nonzero points"):
+                entry(row)
     assert row_generators(axis) == (0, 1, 3)
+    assert row_mask(axis) == 0b11111110
 
 
 def test_curve_relation_json_and_text():
